@@ -6,15 +6,13 @@
 //! * **BPs/sec** — simulated beacon periods per wall-clock second on the
 //!   100-node SSTSP scenario (the engine hot loop + µTESLA verification).
 //! * **large-n BPs/sec** — the same figure at n=1000 and n=5000 (the
-//!   SoA fast-path regime).
+//!   regime the SoA node cache exists for).
 //! * **runs/sec** — complete runs per second across a `run_seeds` sweep
 //!   (the figure-regeneration workload).
 //! * **hashes/sec** — `chain_step` applications per second (the µTESLA
 //!   primitive every signer/verifier bottoms out in).
-//! * **engine_mesh** — BPs/sec on a 4-domain bridged mesh (n≈1000) for
-//!   the per-domain fast path, the forced legacy path
-//!   (`SSTSP_NO_FASTPATH=1`), and the fast path with telemetry recording
-//!   live, plus the fast/slow ratio and telemetry overhead.
+//! * **engine_mesh** — BPs/sec on a 4-domain bridged mesh (n≈1000), plain
+//!   and with telemetry recording live, plus the telemetry overhead.
 //!
 //! Every figure is the **median of [`REPEATS`] repetitions** (each
 //! repetition a time-bounded loop), so one scheduler hiccup on a noisy
@@ -51,21 +49,17 @@
 //! [`run_smoke`]) — the guard that instrumented runs stay on the
 //! batched-counter discipline. Nothing is written.
 //!
-//! `--smoke-large` runs the n=1000 scenario once per engine path (SoA
-//! fast path on, then `SSTSP_NO_FASTPATH=1`), fails if either run exceeds
+//! `--smoke-large` runs the n=1000 scenario once and fails if it exceeds
 //! `SSTSP_LARGE_SMOKE_BUDGET_S` wall seconds (default 5 — a catastrophic-
-//! regression bound, ~1000x the expected release-build cost), and fails if
-//! the two paths disagree on any observable (full spread series + every
-//! summary counter). It then runs a 4-domain bridged mesh (per-domain
-//! window resolution + reference election) under the same wall budget and
-//! fails unless every collision domain ends the run holding a distinct
-//! reference and the run rode the per-domain fast path (asserted via the
-//! `engine.path.fast` counter, not timing). Nothing is written.
+//! regression bound, ~1000x the expected release-build cost). It then runs
+//! a 4-domain bridged mesh (per-domain window resolution + reference
+//! election) under the same wall budget and fails unless every collision
+//! domain ends the run holding a distinct reference. Nothing is written.
 
 use rayon::ThreadPool;
 use sstsp::scenario::TopologySpec;
 use sstsp::sweep::run_seeds;
-use sstsp::{Network, ProtocolKind, RunResult, ScenarioConfig};
+use sstsp::{Network, ProtocolKind, ScenarioConfig};
 use sstsp_crypto::chain::chain_step;
 use std::time::Instant;
 
@@ -76,7 +70,7 @@ const ENGINE_SEED: u64 = 2006;
 /// Large-n engine workload points: (nodes, duration_s).
 const LARGE_POINTS: [(u32, f64); 2] = [(1000, 5.0), (5000, 1.0)];
 /// Bridged-mesh engine workload: 4 islands of `cols`x`rows` stations plus
-/// the 3 gateway bridges (n = 1003), the per-domain fast-path regime.
+/// the 3 gateway bridges (n = 1003), the per-domain resolution regime.
 const MESH_DOMAINS: u32 = 4;
 const MESH_COLS: u32 = 25;
 const MESH_ROWS: u32 = 10;
@@ -149,8 +143,8 @@ fn measure_engine() -> f64 {
     median_of(REPEATS, || measure_engine_for(MIN_MEASURE_S))
 }
 
-/// BPs/sec at each of the [`LARGE_POINTS`] — the regime the SoA fast
-/// path, batched receiver draws, and quiescent-BP skip exist for.
+/// BPs/sec at each of the [`LARGE_POINTS`] — the regime the SoA node
+/// cache, batched receiver draws, and quiescent-BP skip exist for.
 fn measure_engine_large() -> Vec<(u32, f64)> {
     LARGE_POINTS
         .iter()
@@ -203,49 +197,34 @@ fn mesh_cfg() -> ScenarioConfig {
     cfg
 }
 
-/// Bridged-mesh BPs/sec: per-domain fast path, the same workload forced
-/// onto the legacy global-resolution path (`SSTSP_NO_FASTPATH=1`), and
-/// the fast path with telemetry recording live. The fast/slow ratio is
-/// the figure the mesh fast path is accountable for, so the three legs
-/// are interleaved per repetition (see [`measure_engine_telemetry`] for
-/// why) and the recorded ratio/overhead are medians of the per-triple
-/// ratios, not ratios of the leg medians.
+/// Bridged-mesh BPs/sec, plain and with telemetry recording live, as
+/// interleaved pairs (see [`measure_engine_telemetry`] for why); the
+/// recorded overhead is the median of the per-pair overheads.
 ///
-/// Returns `(fast, slow, telemetry_on, fast_over_slow, overhead_pct)`.
-fn measure_engine_mesh() -> (f64, f64, f64, f64, f64) {
+/// Returns `(off, on, overhead_pct)`.
+fn measure_engine_mesh() -> (f64, f64, f64) {
     let cfg = mesh_cfg();
-    let mut fasts = Vec::with_capacity(REPEATS);
-    let mut slows = Vec::with_capacity(REPEATS);
+    let mut offs = Vec::with_capacity(REPEATS);
     let mut ons = Vec::with_capacity(REPEATS);
-    let mut ratios = Vec::with_capacity(REPEATS);
     let mut overheads = Vec::with_capacity(REPEATS);
     for rep in 0..REPEATS {
-        let fast = measure_bps_for(&cfg, MIN_MEASURE_S / 2.0);
-        std::env::set_var("SSTSP_NO_FASTPATH", "1");
-        let slow = measure_bps_for(&cfg, MIN_MEASURE_S / 2.0);
-        std::env::remove_var("SSTSP_NO_FASTPATH");
+        let off = measure_bps_for(&cfg, MIN_MEASURE_S / 2.0);
         let on = {
             let _guard = sstsp_telemetry::recording();
             measure_bps_for(&cfg, MIN_MEASURE_S / 2.0)
         };
         eprintln!(
-            "  rep {}/{REPEATS}: fast {fast:.1}, legacy {slow:.1} ({:.2}x), +telemetry {on:.1} ({:.1}% overhead)",
+            "  rep {}/{REPEATS}: {off:.1}, +telemetry {on:.1} ({:.1}% overhead)",
             rep + 1,
-            fast / slow,
-            (1.0 - on / fast) * 100.0
+            (1.0 - on / off) * 100.0
         );
-        ratios.push(fast / slow);
-        overheads.push((1.0 - on / fast) * 100.0);
-        fasts.push(fast);
-        slows.push(slow);
+        overheads.push((1.0 - on / off) * 100.0);
+        offs.push(off);
         ons.push(on);
     }
-    let (fast, slow, on) = (median(fasts), median(slows), median(ons));
-    let (ratio, overhead) = (median(ratios), median(overheads));
-    eprintln!(
-        "  median: fast {fast:.1}, legacy {slow:.1}, ratio {ratio:.2}x, telemetry overhead {overhead:.1}%"
-    );
-    (fast, slow, on, ratio, overhead)
+    let (off, on, overhead) = (median(offs), median(ons), median(overheads));
+    eprintln!("  median: {off:.1}, +telemetry {on:.1}, overhead {overhead:.1}%");
+    (off, on, overhead)
 }
 
 /// Short telemetry-disabled engine check against the recorded baseline.
@@ -334,8 +313,8 @@ fn run_smoke(out: &str) -> ! {
     std::process::exit(0)
 }
 
-/// Time-bounded large-n smoke + engine-path equivalence gate (see module
-/// docs). Exits 1 on a budget overrun or any fast/legacy divergence.
+/// Time-bounded large-n and mesh smoke (see module docs). Exits 1 on a
+/// budget overrun or a mesh that fails to elect a reference per domain.
 fn run_smoke_large() -> ! {
     let budget_s: f64 = std::env::var("SSTSP_LARGE_SMOKE_BUDGET_S")
         .ok()
@@ -343,47 +322,14 @@ fn run_smoke_large() -> ! {
         .unwrap_or(5.0);
     let (n, dur) = LARGE_POINTS[0];
     let cfg = ScenarioConfig::new(ProtocolKind::Sstsp, n, dur, ENGINE_SEED);
-    let timed_run = |label: &str| -> RunResult {
-        let t0 = Instant::now();
-        let r = Network::build(&cfg).run();
-        let dt = t0.elapsed().as_secs_f64();
-        eprintln!("smoke-large: {label} n={n} run took {dt:.3}s (budget {budget_s}s)");
-        if dt > budget_s {
-            eprintln!("smoke-large: FAIL — n={n} run blew the wall-clock budget");
-            std::process::exit(1)
-        }
-        r
-    };
-    let fast = timed_run("fast path");
-    std::env::set_var("SSTSP_NO_FASTPATH", "1");
-    let slow = timed_run("SSTSP_NO_FASTPATH=1");
-    std::env::remove_var("SSTSP_NO_FASTPATH");
-    let identical = fast.spread.values() == slow.spread.values()
-        && fast.peak_spread_us.to_bits() == slow.peak_spread_us.to_bits()
-        && fast.sync_latency_s == slow.sync_latency_s
-        && fast.steady_error_us == slow.steady_error_us
-        && fast.tx_successes == slow.tx_successes
-        && fast.tx_collisions == slow.tx_collisions
-        && fast.silent_windows == slow.silent_windows
-        && fast.reference_changes == slow.reference_changes
-        && fast.guard_rejections == slow.guard_rejections
-        && fast.mutesla_rejections == slow.mutesla_rejections
-        && fast.retargets == slow.retargets
-        && fast.final_reference == slow.final_reference;
-    if !identical {
-        eprintln!("smoke-large: FAIL — fast path and SSTSP_NO_FASTPATH=1 runs diverged");
-        eprintln!(
-            "  fast: peak={} sync={:?} tx={} legacy: peak={} sync={:?} tx={}",
-            fast.peak_spread_us,
-            fast.sync_latency_s,
-            fast.tx_successes,
-            slow.peak_spread_us,
-            slow.sync_latency_s,
-            slow.tx_successes
-        );
+    let t0 = Instant::now();
+    std::hint::black_box(Network::build(&cfg).run());
+    let dt = t0.elapsed().as_secs_f64();
+    eprintln!("smoke-large: n={n} run took {dt:.3}s (budget {budget_s}s)");
+    if dt > budget_s {
+        eprintln!("smoke-large: FAIL — n={n} run blew the wall-clock budget");
         std::process::exit(1)
     }
-    eprintln!("smoke-large: ok — paths bit-identical");
 
     // Mesh workload: a 4-domain bridged mesh exercises the per-domain
     // window resolution and reference election at a scale the goldens
@@ -396,28 +342,11 @@ fn run_smoke_large() -> ! {
         rows: 5,
     });
     let t0 = Instant::now();
-    let (r, mesh_snap) = {
-        let _guard = sstsp_telemetry::recording();
-        (Network::build(&mesh).run(), sstsp_telemetry::snapshot())
-    };
+    let r = Network::build(&mesh).run();
     let dt = t0.elapsed().as_secs_f64();
     eprintln!("smoke-large: bridged mesh n=103 run took {dt:.3}s (budget {budget_s}s)");
     if dt > budget_s {
         eprintln!("smoke-large: FAIL — mesh run blew the wall-clock budget");
-        std::process::exit(1)
-    }
-    // The mesh must ride the per-domain fast path, asserted through the
-    // engine's own path counter — a timing threshold would go soft on a
-    // loaded host, the counter cannot.
-    let (fast_runs, slow_runs) = (
-        mesh_snap.counter("engine.path.fast"),
-        mesh_snap.counter("engine.path.slow"),
-    );
-    if fast_runs < 1 || slow_runs > 0 {
-        eprintln!(
-            "smoke-large: FAIL — bridged mesh did not engage the fast path \
-             (engine.path.fast={fast_runs}, engine.path.slow={slow_runs})"
-        );
         std::process::exit(1)
     }
     let report = r.domain_report.as_deref().unwrap_or_default();
@@ -607,10 +536,9 @@ fn main() {
     );
     let mesh_nodes = MESH_DOMAINS * MESH_COLS * MESH_ROWS + (MESH_DOMAINS - 1);
     eprintln!(
-        "measuring bridged-mesh engine ({MESH_DOMAINS} domains, n={mesh_nodes}, {MESH_DURATION_S} s; interleaved triples) ..."
+        "measuring bridged-mesh engine ({MESH_DOMAINS} domains, n={mesh_nodes}, {MESH_DURATION_S} s; interleaved pairs) ..."
     );
-    let (mesh_fast, mesh_slow, mesh_telemetry_on, mesh_ratio, mesh_overhead_pct) =
-        measure_engine_mesh();
+    let (mesh_bps, mesh_telemetry_on, mesh_overhead_pct) = measure_engine_mesh();
     eprintln!("measuring sweep scaling across pool sizes ...");
     let scaling = measure_sweep_scaling();
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -655,7 +583,7 @@ fn main() {
         "  \"telemetry\": {{\n    \"bps_per_sec_off\": {bps_paired_off:.1},\n    \"bps_per_sec_on\": {bps_telemetry_on:.1},\n    \"overhead_pct\": {overhead_pct:.2}\n  }},\n"
     ));
     body.push_str(&format!(
-        "  \"engine_mesh\": {{\n    \"workload\": \"SSTSP bridged:{MESH_DOMAINS}:{MESH_COLS}:{MESH_ROWS} n={mesh_nodes} duration_s={MESH_DURATION_S} seed={ENGINE_SEED}\",\n    \"fast_bps_per_sec\": {mesh_fast:.1},\n    \"slow_bps_per_sec\": {mesh_slow:.1},\n    \"fast_over_slow\": {mesh_ratio:.3},\n    \"telemetry_on_bps_per_sec\": {mesh_telemetry_on:.1},\n    \"telemetry_overhead_pct\": {mesh_overhead_pct:.2}\n  }},\n"
+        "  \"engine_mesh\": {{\n    \"workload\": \"SSTSP bridged:{MESH_DOMAINS}:{MESH_COLS}:{MESH_ROWS} n={mesh_nodes} duration_s={MESH_DURATION_S} seed={ENGINE_SEED}\",\n    \"bps_per_sec\": {mesh_bps:.1},\n    \"telemetry_on_bps_per_sec\": {mesh_telemetry_on:.1},\n    \"telemetry_overhead_pct\": {mesh_overhead_pct:.2}\n  }},\n"
     ));
     body.push_str(&format!(
         "  \"sweep_scaling\": {{\n    \"host_threads\": {host_threads},\n"

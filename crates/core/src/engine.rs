@@ -20,8 +20,7 @@
 //! keeps the time bookkeeping honest (monotone, horizon-checked).
 
 use crate::instrument::{
-    BatchRx, BpBatch, BpView, DeliveryCtx, DeliveryFate, DeliveryObs, EngineHook, FaultAction,
-    NodeSnapshot, NoopHook,
+    BpView, DeliveryCtx, DeliveryFate, DeliveryObs, EngineHook, FaultAction, NodeSnapshot, NoopHook,
 };
 use crate::kernel::{BpTimeline, NodeSoa};
 use crate::scenario::{ProtocolKind, ScenarioConfig, TopologySpec};
@@ -43,8 +42,8 @@ use sstsp_telemetry as telemetry;
 use std::sync::Arc;
 use sync_analysis::{SpreadTracker, SyncCriterion};
 use wireless::{
-    resolve_mesh, resolve_multihop, Channel, Delivery, DomainDecomposition, MeshResolver,
-    MhAttempt, MhDelivery, PhyParams, Topology, TxAttempt, WindowOutcome,
+    Channel, Delivery, DomainDecomposition, MeshResolver, MhAttempt, MhDelivery, PhyParams,
+    Topology, TxAttempt, WindowOutcome,
 };
 
 /// Binning of the per-BP spread distribution recorded into telemetry:
@@ -118,58 +117,51 @@ pub struct RunResult {
     pub seed: u64,
 }
 
+/// One beacon on the air in the current window.
+#[derive(Clone, Copy)]
+struct OnAir {
+    payload: BeaconPayload,
+    /// Reception instant, the same for every receiver.
+    t_rx: SimTime,
+    /// Whether it reached at least one receiver (mesh transmit feedback).
+    reached: bool,
+}
+
 /// Reusable per-BP scratch buffers, hoisted out of the hot loop so a
-/// steady-state beacon period performs no heap allocation. Dense vectors
-/// indexed by station id stand in for NodeId-keyed hash maps; they are
+/// steady-state beacon period performs no heap allocation. They are
 /// cleared (not reallocated) at the start of each window.
 struct Scratch {
     /// Single-hop transmission attempts for the current window.
     tx_attempts: Vec<TxAttempt>,
     /// Multi-hop transmission attempts for the current window.
     mh_attempts: Vec<MhAttempt>,
-    /// Beacon produced by each transmitting station this window.
-    payloads: Vec<Option<BeaconPayload>>,
-    /// Whether each transmitter reached at least one receiver this window.
-    reached: Vec<bool>,
+    /// Beacons on the air this window, in transmission order.
+    on_air: Vec<OnAir>,
+    /// Station id → its beacon's index in `on_air` (meaningful only for
+    /// this window's transmitters).
+    on_air_of: Vec<u32>,
+    /// Deliveries the engine lists itself (single-hop, or a mesh window
+    /// with absent stations), in delivery order.
+    deliveries: Vec<MhDelivery>,
+    /// Batched per-delivery channel verdicts, in delivery order.
+    rx_fates: Vec<Delivery>,
     /// Clocks of honest synchronized present stations, sampled at BP end.
     clocks: Vec<f64>,
-    /// Fast path: receiver ids of the current window, in id order.
-    rx_ids: Vec<u32>,
-    /// Fast path: batched per-receiver delivery verdicts (parallel to
-    /// `rx_ids`).
-    rx_fates: Vec<Delivery>,
-    /// Mesh fast path: present-receiver deliveries of the current window,
-    /// in delivery order (parallel to `rx_fates` after the batch draw).
-    mh_rx: Vec<MhDelivery>,
-    /// Passive-hook fast path: stations that transmitted this BP, in slot
-    /// order, buffered for the end-of-BP batch callback.
-    batch_txs: Vec<NodeId>,
-    /// Passive-hook fast path: completed deliveries of this BP, in
-    /// delivery order, buffered for the end-of-BP batch callback.
-    batch_rxs: Vec<BatchRx>,
-    /// Passive-hook fast path: per-domain reference holders at BP end.
-    domain_refs: Vec<Option<NodeId>>,
-    /// Mesh fast path: reception instant per transmitting station of the
-    /// current window (constant across that station's receivers, so it is
-    /// computed once in the beacon pass instead of per delivery).
-    t_rx_by_tx: Vec<SimTime>,
 }
 
 impl Scratch {
-    fn new(n: usize) -> Self {
+    /// Buffers for `n` stations, preallocating only the attempt and
+    /// delivery lists the run's window arm (single-hop or `mesh`) fills.
+    fn new(n: usize, mesh: bool) -> Self {
+        let single = if mesh { 0 } else { n };
         Scratch {
-            tx_attempts: Vec::with_capacity(n),
-            mh_attempts: Vec::with_capacity(n),
-            payloads: vec![None; n],
-            reached: vec![false; n],
-            clocks: Vec::with_capacity(n),
-            rx_ids: Vec::with_capacity(n),
+            tx_attempts: Vec::with_capacity(single),
+            mh_attempts: Vec::with_capacity(n - single),
+            on_air: Vec::new(),
+            on_air_of: vec![0; n],
+            deliveries: Vec::with_capacity(single),
             rx_fates: Vec::with_capacity(n),
-            mh_rx: Vec::with_capacity(n),
-            batch_txs: Vec::new(),
-            batch_rxs: Vec::new(),
-            domain_refs: Vec::new(),
-            t_rx_by_tx: vec![SimTime::ZERO; n],
+            clocks: Vec::with_capacity(n),
         }
     }
 }
@@ -238,7 +230,14 @@ pub struct Network {
     scenario_rng: ChaCha12Rng,
     anchors: AnchorRegistry,
     topology: Option<Topology>,
+    /// The mesh's collision-domain decomposition (bridged meshes only). It
+    /// switches SSTSP to per-domain election and gives `CrashDomain` and
+    /// `KillBridge` their targets.
     domains: Option<DomainDecomposition>,
+    /// One domain per station, for topologies without a mesh decomposition
+    /// (line, ring, grid, rgg). The window resolver buckets by it and
+    /// nothing else reads it.
+    station_domains: Option<DomainDecomposition>,
     scratch: Scratch,
 }
 
@@ -253,6 +252,23 @@ macro_rules! node_ctx {
             config: $pcfg,
         }
     };
+}
+
+/// Read the [`NodeSoa`] mirror of the trait query `$q` for station `$i`.
+/// Debug builds assert it equals the trait call it stands in for, so every
+/// debug test run audits every cache read.
+macro_rules! mirror {
+    ($soa:expr, $nodes:expr, $q:ident, $i:expr) => {{
+        let i: usize = $i;
+        let v = $soa.$q(i);
+        debug_assert_eq!(
+            v,
+            $nodes[i].$q(),
+            "SoA {} diverged for node {i}",
+            stringify!($q)
+        );
+        v
+    }};
 }
 
 impl Network {
@@ -300,6 +316,13 @@ impl Network {
                 topo
             }
         });
+        let station_domains = match (&topology, &domains) {
+            (Some(t), None) => Some(DomainDecomposition::from_partition(
+                (0..t.len()).map(|i| vec![i]).collect(),
+                t,
+            )),
+            _ => None,
+        };
         if topology.is_some() && sc.protocol == ProtocolKind::Sstsp {
             sc.protocol_config.multihop_relay = true;
             // An explicit collision-domain decomposition switches SSTSP to
@@ -402,7 +425,8 @@ impl Network {
             anchors: AnchorRegistry::new(),
             topology,
             domains,
-            scratch: Scratch::new(n),
+            station_domains,
+            scratch: Scratch::new(n, sc.topology.is_some()),
             scenario: sc,
         }
     }
@@ -413,8 +437,10 @@ impl Network {
     }
 
     /// Run the scenario with an [`EngineHook`] attached (fault injection,
-    /// invariant checking). Running with [`NoopHook`] — or any hook that
-    /// neither drops nor mutates deliveries nor emits fault actions — is
+    /// invariant checking, trace recording). Every run takes the same
+    /// beacon-period loop; an active hook receives its per-event callbacks
+    /// from inside it. Running with [`NoopHook`] — or any hook that neither
+    /// drops nor mutates deliveries nor emits fault actions — is
     /// bit-identical to [`Network::run`]: the hook only ever sees copies,
     /// and no engine RNG stream is consulted on its behalf.
     pub fn run_with_hook(self, hook: &mut dyn EngineHook) -> RunResult {
@@ -448,8 +474,8 @@ impl Network {
         let ref_absence_bps = (self.scenario.ref_absence_s * 1e6 / pcfg.bp_us).round() as u64;
 
         // Quiescent-BP timeline: which BPs have *any* scheduled scenario
-        // event (churn/reference departure, jam window, attacker window).
-        // The fast path skips the per-BP event scans on quiet BPs.
+        // event (churn/reference departure, jam window, attacker or
+        // campaign window). Quiet BPs skip the per-BP event scans.
         let windows_s: Vec<(f64, f64)> = self
             .scenario
             .jam_windows
@@ -494,6 +520,7 @@ impl Network {
             mut anchors,
             topology,
             domains,
+            station_domains,
             mut scratch,
             ..
         } = self;
@@ -509,47 +536,19 @@ impl Network {
             .filter(|&i| !honest[i as usize])
             .collect();
 
-        // The large-n fast path (dense SoA node state, cached static
-        // intents, batched delivery draws, quiescent-BP scan skipping) is
-        // bit-identical to the plain loop by construction. It runs when
-        // the attached hook declares itself fast-path-safe (a passive
-        // observer fed one batched callback per BP instead of per-event
-        // dispatch), and covers mesh topologies that carry a domain
-        // decomposition (per-domain window resolution); topologies
-        // without one (line/ring/grid/rgg) stay on the plain loop. It can
-        // be forced off for cross-checking with SSTSP_NO_FASTPATH=1.
-        let caps = hook.capabilities();
-        // Campaign runs always take the plain loop: members form intents
-        // from live protocol state (reference tracking, replay tapes,
-        // transmission parity) that the SoA static-intent cache cannot
-        // represent.
-        let fastpath = (!active || caps.fastpath_safe)
-            && (topology.is_none() || domains.is_some())
-            && scenario.campaign.is_none()
-            && std::env::var("SSTSP_NO_FASTPATH").map_or(true, |v| v != "1");
-        // A fast-path-safe hook rides along passively; `hooked` guards the
-        // per-event callbacks the slow path owes a full-fidelity hook.
-        let passive = active && fastpath;
-        let hooked = active && !fastpath;
-        // One counter tick per run records which loop actually executed, so
-        // equivalence tests can *prove* the slow path ran instead of
-        // trusting the gate above.
-        telemetry::counter_add(
-            if fastpath {
-                "engine.path.fast"
-            } else {
-                "engine.path.slow"
-            },
-            1,
-        );
+        // One tick per run; perfbench's ledger counts runs by it.
+        telemetry::counter_add("engine.path.fast", 1);
+        // Dense node state (static intents, affine clocks, reference and
+        // sync flags) the per-BP scans read instead of making trait calls.
+        // A pure cache: refreshed after init, rejoin and every end-of-BP
+        // callback, and debug builds check each read against the trait.
         let mut soa = NodeSoa::new(scenario.n_nodes as usize);
-        // Mesh fast path: reusable per-domain window resolver, built once
-        // per run from the decomposition (domain-major index permutation
-        // plus audible-domain lists and scratch buffers).
-        let mut mesh_resolver = match (&topology, &domains) {
-            (Some(t), Some(d)) if fastpath => Some(MeshResolver::new(t, d)),
-            _ => None,
-        };
+        // Any topology resolves its windows through one reusable resolver,
+        // bucketed by the mesh decomposition or by one domain per station.
+        let mut mesh_resolver = topology.as_ref().map(|t| {
+            let d = domains.as_ref().or(station_domains.as_ref());
+            MeshResolver::new(t, d.expect("every topology has a decomposition"))
+        });
 
         // Coarse per-phase wall-clock accounting for the BP loop, emitted
         // at run end through the structured log (`engine.prof`, info level
@@ -564,9 +563,7 @@ impl Network {
             let local = oscs[id as usize].local_us(SimTime::ZERO);
             let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
             nodes[id as usize].init(&mut ctx);
-            if fastpath {
-                soa.refresh(id as usize, &*nodes[id as usize], &pcfg);
-            }
+            soa.refresh(id as usize, &*nodes[id as usize], &pcfg);
         }
         if prof {
             telemetry::log::info("engine.prof", || {
@@ -589,14 +586,14 @@ impl Network {
         let mut bp_counters = BpCounters::default();
         let mut spread_hist: Option<Histogram> = None;
         // Tracks whether every station is currently present; maintained at
-        // each non-quiet BP so the delivery loops can skip the per-entry
-        // membership filter in the (overwhelmingly common) full-mesh case.
+        // each non-quiet BP so the mesh delivery filter can be skipped in
+        // the (overwhelmingly common) full-membership case.
         let mut all_present = present.iter().all(|&p| p);
         let mut snapshots: Vec<NodeSnapshot> =
-            Vec::with_capacity(if hooked { scenario.n_nodes as usize } else { 0 });
+            Vec::with_capacity(if active { scenario.n_nodes as usize } else { 0 });
 
         let mut sim: Simulator<u64> = Simulator::new(horizon);
-        if hooked {
+        if active {
             // Instrumented runs also cross-check simcore's event ordering
             // from the outside via the probe hook.
             let mut last = SimTime::ZERO;
@@ -620,25 +617,69 @@ impl Network {
                     }
                 };
             }
+            // Take a station off the air at the BP start (no-op if it is
+            // already absent), queueing its rejoin for BP `rejoin_at`.
+            macro_rules! depart {
+                ($id:expr, $rejoin_at:expr) => {{
+                    let id: NodeId = $id;
+                    if present[id as usize] {
+                        present[id as usize] = false;
+                        let local = oscs[id as usize].local_us(t0);
+                        let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
+                        nodes[id as usize].on_leave(&mut ctx);
+                        if let Some(due) = $rejoin_at {
+                            returns.push((due, id));
+                        }
+                    }
+                }};
+            }
+            // Put `station` on the air in `slot`: make its beacon and list
+            // it in `scratch.on_air` for the delivery loop. Evaluates to the
+            // transmitter's jittered local timestamp.
+            macro_rules! transmit {
+                ($station:expr, $slot:expr) => {{
+                    let station: NodeId = $station;
+                    let t_tx = t0 + window.delay_of($slot);
+                    bp_counters.beacon_tx += 1;
+                    if active {
+                        hook.on_beacon_tx(k, station, t_tx);
+                    }
+                    // Sub-µs hardware timestamping jitter.
+                    let jitter = jitter_rng.random_range(0.0..=scenario.timestamp_jitter_us);
+                    let tx_local = oscs[station as usize].local_us(t_tx) + jitter;
+                    let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, station, tx_local);
+                    let payload = nodes[station as usize].make_beacon(&mut ctx);
+                    scratch.on_air_of[station as usize] = scratch.on_air.len() as u32;
+                    scratch.on_air.push(OnAir {
+                        payload,
+                        t_rx: t_tx + phy.beacon_airtime(payload.is_secured()) + phy.propagation(),
+                        reached: false,
+                    });
+                    tx_local
+                }};
+            }
 
             // Anything that perturbs the network this BP (churn, departures,
             // jamming, attacker activity, fault injections, reference
             // changes); convergence invariants suspend after disturbances.
             let mut disturbed = false;
 
-            if hooked {
+            if active {
                 fault_actions.clear();
                 hook.on_bp_start(k, t0, &mut fault_actions);
             }
 
             // Quiescent-BP skip-ahead: nothing is scheduled this BP (no
-            // churn or reference departure, no jam or attack window, no
-            // rejoin due) and no hook can inject faults, so the event
-            // scans below would all no-op. Skip straight to the beacon
-            // window; the only state they could have touched is the
-            // jammer flag, which a quiet BP always leaves released.
-            let quiet =
-                fastpath && !timeline.interesting(k) && returns.iter().all(|&(due, _)| due != k);
+            // churn or reference departure, no jam, attack or campaign
+            // window), no rejoin is due, the hook pushed no fault action and
+            // no fault-layer jam is engaged, so the event scans below would
+            // all no-op. Skip straight to the beacon window; the only state
+            // they could have touched is the jammer flag, which such a BP
+            // always leaves released.
+            let quiet = !timeline.interesting(k)
+                && fault_actions.is_empty()
+                && !fault_jam
+                && returns.iter().all(|&(due, _)| due != k);
             if quiet {
                 channel.set_jammed(false);
             } else {
@@ -649,9 +690,7 @@ impl Network {
                         let local = oscs[id as usize].local_us(t0);
                         let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
                         nodes[id as usize].on_join(&mut ctx);
-                        if fastpath {
-                            soa.refresh(id as usize, &*nodes[id as usize], &pcfg);
-                        }
+                        soa.refresh(id as usize, &*nodes[id as usize], &pcfg);
                         disturbed = true;
                         false
                     } else {
@@ -674,12 +713,7 @@ impl Network {
                     for pick in 0..quota {
                         let j = scenario_rng.random_range(pick..pool.len());
                         pool.swap(pick, j);
-                        let id = pool[pick];
-                        present[id as usize] = false;
-                        let local = oscs[id as usize].local_us(t0);
-                        let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                        nodes[id as usize].on_leave(&mut ctx);
-                        returns.push((k + churn_absence_bps, id));
+                        depart!(pool[pick], Some(k + churn_absence_bps));
                     }
                     disturbed |= quota > 0;
                 }
@@ -687,11 +721,7 @@ impl Network {
                     if let Some(id) = (0..scenario.n_nodes)
                         .find(|&id| present[id as usize] && nodes[id as usize].is_reference())
                     {
-                        present[id as usize] = false;
-                        let local = oscs[id as usize].local_us(t0);
-                        let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                        nodes[id as usize].on_leave(&mut ctx);
-                        returns.push((k + ref_absence_bps, id));
+                        depart!(id, Some(k + ref_absence_bps));
                         disturbed = true;
                     }
                 }
@@ -699,35 +729,19 @@ impl Network {
                 // --- Fault injection --------------------------------------
                 // Applied after churn so a fault plan targeting the reference
                 // sees the network exactly as the scenario left it this BP.
+                let rejoin_at = |r: Option<u64>| r.map(|r| k + r.max(1));
                 for &action in fault_actions.iter() {
                     disturbed = true;
                     match action {
                         FaultAction::Crash {
                             node,
                             rejoin_after_bps,
-                        } => {
-                            if present[node as usize] {
-                                present[node as usize] = false;
-                                let local = oscs[node as usize].local_us(t0);
-                                let mut ctx =
-                                    node_ctx!(proto_rngs, &mut anchors, &pcfg, node, local);
-                                nodes[node as usize].on_leave(&mut ctx);
-                                if let Some(r) = rejoin_after_bps {
-                                    returns.push((k + r.max(1), node));
-                                }
-                            }
-                        }
+                        } => depart!(node, rejoin_at(rejoin_after_bps)),
                         FaultAction::KillReference { rejoin_after_bps } => {
                             if let Some(id) = (0..scenario.n_nodes).find(|&id| {
                                 present[id as usize] && nodes[id as usize].is_reference()
                             }) {
-                                present[id as usize] = false;
-                                let local = oscs[id as usize].local_us(t0);
-                                let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                                nodes[id as usize].on_leave(&mut ctx);
-                                if let Some(r) = rejoin_after_bps {
-                                    returns.push((k + r.max(1), id));
-                                }
+                                depart!(id, rejoin_at(rejoin_after_bps));
                             }
                         }
                         FaultAction::CrashDomain {
@@ -735,18 +749,9 @@ impl Network {
                             rejoin_after_bps,
                         } => {
                             if let Some(d) = &domains {
-                                let members = &d.domains[domain as usize % d.len()];
-                                for &node in members {
-                                    if d.is_bridge(node) || !present[node as usize] {
-                                        continue;
-                                    }
-                                    present[node as usize] = false;
-                                    let local = oscs[node as usize].local_us(t0);
-                                    let mut ctx =
-                                        node_ctx!(proto_rngs, &mut anchors, &pcfg, node, local);
-                                    nodes[node as usize].on_leave(&mut ctx);
-                                    if let Some(r) = rejoin_after_bps {
-                                        returns.push((k + r.max(1), node));
+                                for &node in &d.domains[domain as usize % d.len()] {
+                                    if !d.is_bridge(node) {
+                                        depart!(node, rejoin_at(rejoin_after_bps));
                                     }
                                 }
                             }
@@ -755,20 +760,9 @@ impl Network {
                             bridge,
                             rejoin_after_bps,
                         } => {
-                            if let Some(d) = &domains {
-                                if !d.bridges.is_empty() {
-                                    let node = d.bridges[bridge as usize % d.bridges.len()];
-                                    if present[node as usize] {
-                                        present[node as usize] = false;
-                                        let local = oscs[node as usize].local_us(t0);
-                                        let mut ctx =
-                                            node_ctx!(proto_rngs, &mut anchors, &pcfg, node, local);
-                                        nodes[node as usize].on_leave(&mut ctx);
-                                        if let Some(r) = rejoin_after_bps {
-                                            returns.push((k + r.max(1), node));
-                                        }
-                                    }
-                                }
+                            if let Some(d) = domains.as_ref().filter(|d| !d.bridges.is_empty()) {
+                                let node = d.bridges[bridge as usize % d.bridges.len()];
+                                depart!(node, rejoin_at(rejoin_after_bps));
                             }
                         }
                         FaultAction::ClockStep { node, delta_us } => {
@@ -804,65 +798,76 @@ impl Network {
             } // end of the non-quiet event scans
             lap!(0);
 
-            // --- Beacon generation window -----------------------------
-            match &topology {
-                None => {
-                    // Single-hop fast path: the whole window is decided by
-                    // the earliest occupied slot.
-                    let attempts = &mut scratch.tx_attempts;
-                    attempts.clear();
-                    for id in 0..scenario.n_nodes {
-                        if !present[id as usize] {
-                            continue;
+            // --- Beacon intents ---------------------------------------
+            let single_hop = mesh_resolver.is_none();
+            scratch.tx_attempts.clear();
+            scratch.mh_attempts.clear();
+            for id in 0..scenario.n_nodes {
+                if !present[id as usize] {
+                    continue;
+                }
+                // Serve the intent from the SoA cache when the protocol
+                // predicted it. A cached intent is one the real call would
+                // return without consuming randomness, so skipping the call
+                // (and the oscillator read feeding its context) leaves every
+                // RNG stream untouched.
+                let intent = match soa.static_intent(id as usize) {
+                    Some(si) => {
+                        #[cfg(debug_assertions)]
+                        {
+                            let pos = proto_rngs[id as usize].stream_pos();
+                            let local = oscs[id as usize].local_us(t0);
+                            let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
+                            let real = nodes[id as usize].intent(&mut ctx);
+                            assert_eq!(real, si, "static intent diverged for node {id}");
+                            assert_eq!(
+                                proto_rngs[id as usize].stream_pos(),
+                                pos,
+                                "static intent consumed randomness for node {id}"
+                            );
                         }
-                        // Fast path: serve the intent from the SoA cache
-                        // when the protocol predicted it. A cached intent
-                        // is one the real call would return without
-                        // consuming randomness, so skipping the call (and
-                        // the oscillator read feeding its context) leaves
-                        // every RNG stream untouched.
-                        let intent = match soa.static_intent(id as usize).filter(|_| fastpath) {
-                            Some(si) => {
-                                #[cfg(debug_assertions)]
-                                {
-                                    let pos = proto_rngs[id as usize].stream_pos();
-                                    let local = oscs[id as usize].local_us(t0);
-                                    let mut ctx =
-                                        node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                                    let real = nodes[id as usize].intent(&mut ctx);
-                                    assert_eq!(real, si, "static intent diverged for node {id}");
-                                    assert_eq!(
-                                        proto_rngs[id as usize].stream_pos(),
-                                        pos,
-                                        "static intent consumed randomness for node {id}"
-                                    );
-                                }
-                                si
-                            }
-                            None => {
-                                let local = oscs[id as usize].local_us(t0);
-                                let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                                nodes[id as usize].intent(&mut ctx)
-                            }
-                        };
-                        match intent {
-                            BeaconIntent::Silent => {}
-                            // Relaying is pointless when everyone already
-                            // hears the reference directly.
-                            BeaconIntent::RelayAfterRx(_) => {}
-                            BeaconIntent::Contend => {
-                                let slot = window.draw_slot(&mut backoff_rngs[id as usize]);
-                                attempts.push(TxAttempt { station: id, slot });
-                            }
-                            BeaconIntent::FixedSlot(slot) => {
-                                attempts.push(TxAttempt { station: id, slot });
-                            }
-                        }
+                        si
                     }
+                    None => {
+                        let local = oscs[id as usize].local_us(t0);
+                        let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
+                        nodes[id as usize].intent(&mut ctx)
+                    }
+                };
+                let (slot, relay) = match intent {
+                    BeaconIntent::Silent => continue,
+                    BeaconIntent::Contend => {
+                        (window.draw_slot(&mut backoff_rngs[id as usize]), false)
+                    }
+                    BeaconIntent::FixedSlot(slot) => (slot, false),
+                    BeaconIntent::RelayAfterRx(slot) => (slot, true),
+                };
+                if !single_hop {
+                    scratch.mh_attempts.push(MhAttempt {
+                        station: id,
+                        slot,
+                        relay,
+                    });
+                } else if !relay {
+                    // Relaying is pointless when everyone already hears the
+                    // reference directly.
+                    scratch.tx_attempts.push(TxAttempt { station: id, slot });
+                }
+            }
+            lap!(1);
 
-                    lap!(1);
-                    let mut outcome = channel.resolve_window(attempts);
-                    if hooked {
+            // --- Beacon generation window -----------------------------
+            // Both arms list the window's deliveries for the shared
+            // delivery loop below. Single-hop counts one collision per
+            // window; meshes count one per transmitter that reached nobody.
+            scratch.on_air.clear();
+            scratch.deliveries.clear();
+            let deliveries: &[MhDelivery] = match mesh_resolver.as_mut() {
+                None => {
+                    // Single-hop: the whole window is decided by the
+                    // earliest occupied slot.
+                    let mut outcome = channel.resolve_window(&scratch.tx_attempts);
+                    if active {
                         // Replay seam: a schedule-driven hook substitutes
                         // the recorded outcome after cross-checking `live`.
                         if let Some(replayed) = hook.on_window(k, &outcome) {
@@ -895,242 +900,29 @@ impl Network {
                         WindowOutcome::Success { winner, slot } => {
                             tx_successes += 1;
                             bp_counters.window_success += 1;
-                            bp_counters.beacon_tx += 1;
-                            let t_tx = t0 + window.delay_of(slot);
-                            if hooked {
-                                hook.on_beacon_tx(k, winner, t_tx);
-                            } else if passive {
-                                scratch.batch_txs.push(winner);
+                            let tx_local = transmit!(winner, slot);
+                            let mut ctx =
+                                node_ctx!(proto_rngs, &mut anchors, &pcfg, winner, tx_local);
+                            nodes[winner as usize].on_tx_outcome(&mut ctx, false);
+                            for id in 0..scenario.n_nodes {
+                                if id != winner && present[id as usize] {
+                                    scratch.deliveries.push(MhDelivery {
+                                        rx: id,
+                                        tx: winner,
+                                        slot,
+                                    });
+                                }
                             }
-                            // Sub-µs hardware timestamping jitter.
-                            let jitter =
-                                jitter_rng.random_range(0.0..=scenario.timestamp_jitter_us);
-                            let tx_local = oscs[winner as usize].local_us(t_tx) + jitter;
-                            let beacon = {
-                                let mut ctx =
-                                    node_ctx!(proto_rngs, &mut anchors, &pcfg, winner, tx_local);
-                                nodes[winner as usize].make_beacon(&mut ctx)
-                            };
-                            {
-                                let mut ctx =
-                                    node_ctx!(proto_rngs, &mut anchors, &pcfg, winner, tx_local);
-                                nodes[winner as usize].on_tx_outcome(&mut ctx, false);
-                            }
-                            let airtime = phy.beacon_airtime(beacon.is_secured());
-                            let t_rx = t_tx + airtime + phy.propagation();
-                            if fastpath {
-                                // Batched-draw receiver path: collect the
-                                // receiver set, take every channel-error
-                                // draw in one pass (identical stream
-                                // consumption — the jitter draws live on a
-                                // separate stream, so splitting the loop
-                                // cannot reorder either), then process the
-                                // survivors branch-lean: no hook checks,
-                                // no per-delivery observer state.
-                                let rx_ids = &mut scratch.rx_ids;
-                                rx_ids.clear();
-                                for id in 0..scenario.n_nodes {
-                                    if id != winner && present[id as usize] {
-                                        rx_ids.push(id);
-                                    }
-                                }
-                                bp_counters.rx_attempt += rx_ids.len() as u64;
-                                channel.deliver_batch(
-                                    &mut chan_rng,
-                                    rx_ids.len(),
-                                    &mut scratch.rx_fates,
-                                );
-                                for (&id, &fate) in rx_ids.iter().zip(scratch.rx_fates.iter()) {
-                                    if fate == Delivery::Lost {
-                                        bp_counters.rx_lost += 1;
-                                        continue;
-                                    }
-                                    bp_counters.rx_delivered += 1;
-                                    let rx_jitter =
-                                        jitter_rng.random_range(0.0..=scenario.timestamp_jitter_us);
-                                    let local_rx = oscs[id as usize].local_us(t_rx) + rx_jitter;
-                                    // Passive capture reads the *virtual*
-                                    // clock: the SoA entry is refreshed only
-                                    // at BP end and can be stale mid-window.
-                                    let (clock_before, stats_before) = if passive {
-                                        (
-                                            nodes[id as usize].clock_us(local_rx),
-                                            nodes[id as usize].sstsp_stats(),
-                                        )
-                                    } else {
-                                        (0.0, None)
-                                    };
-                                    {
-                                        let mut ctx = node_ctx!(
-                                            proto_rngs,
-                                            &mut anchors,
-                                            &pcfg,
-                                            id,
-                                            local_rx
-                                        );
-                                        nodes[id as usize].on_beacon(
-                                            &mut ctx,
-                                            ReceivedBeacon {
-                                                payload: beacon,
-                                                local_rx_us: local_rx,
-                                            },
-                                        );
-                                    }
-                                    if passive {
-                                        scratch.batch_rxs.push(BatchRx {
-                                            src: winner,
-                                            dst: id,
-                                            t_rx,
-                                            clock_before_us: clock_before,
-                                            stats_before,
-                                            stats_after: nodes[id as usize].sstsp_stats(),
-                                        });
-                                    }
-                                }
-                            } else {
-                                for id in 0..scenario.n_nodes {
-                                    if id == winner || !present[id as usize] {
-                                        continue;
-                                    }
-                                    bp_counters.rx_attempt += 1;
-                                    if channel.deliver(&mut chan_rng) == Delivery::Lost {
-                                        bp_counters.rx_lost += 1;
-                                        continue;
-                                    }
-                                    // Each receiver processes its own copy: a
-                                    // corruption fault at one receiver models
-                                    // that receiver's demodulation errors, not
-                                    // a change to the transmitted frame.
-                                    let mut payload = beacon;
-                                    let dctx = DeliveryCtx {
-                                        bp: k,
-                                        src: winner,
-                                        dst: id,
-                                        t_rx,
-                                    };
-                                    if active
-                                        && hook.on_delivery(&dctx, &mut payload)
-                                            == DeliveryFate::Drop
-                                    {
-                                        bp_counters.rx_hook_dropped += 1;
-                                        continue;
-                                    }
-                                    bp_counters.rx_delivered += 1;
-                                    // Receiver-side timestamping noise: each
-                                    // station stamps the arrival with its own
-                                    // hardware path, contributing (with the
-                                    // sender-side jitter) the paper's receiver
-                                    // estimation error ε.
-                                    let rx_jitter =
-                                        jitter_rng.random_range(0.0..=scenario.timestamp_jitter_us);
-                                    let local_rx = oscs[id as usize].local_us(t_rx) + rx_jitter;
-                                    let (clock_before, ref_before, stats_before) = if active {
-                                        (
-                                            nodes[id as usize].clock_us(local_rx),
-                                            nodes[id as usize].current_reference(),
-                                            nodes[id as usize].sstsp_stats(),
-                                        )
-                                    } else {
-                                        (0.0, None, None)
-                                    };
-                                    {
-                                        let mut ctx = node_ctx!(
-                                            proto_rngs,
-                                            &mut anchors,
-                                            &pcfg,
-                                            id,
-                                            local_rx
-                                        );
-                                        nodes[id as usize].on_beacon(
-                                            &mut ctx,
-                                            ReceivedBeacon {
-                                                payload,
-                                                local_rx_us: local_rx,
-                                            },
-                                        );
-                                    }
-                                    if active {
-                                        hook.post_delivery(&DeliveryObs {
-                                            ctx: dctx,
-                                            payload: &payload,
-                                            local_rx_us: local_rx,
-                                            clock_before_us: clock_before,
-                                            ref_before,
-                                            stats_before,
-                                            stats_after: nodes[id as usize].sstsp_stats(),
-                                            anchors: &anchors,
-                                        });
-                                    }
-                                }
-                            } // end of the plain (hook-capable) receiver loop
                         }
                     }
+                    &scratch.deliveries
                 }
-                Some(topo) if mesh_resolver.is_some() => {
-                    // Mesh fast path: static intents served from the SoA,
-                    // per-domain window resolution over the domain-major
-                    // order with reusable buffers, and batched receiver
-                    // draws. Bit-identical to the plain multi-hop branch
-                    // below: static intents are exactly what the real
-                    // calls would return (debug-asserted), `MeshResolver`
-                    // is pinned output-identical to `resolve_mesh`, and
-                    // the split delivery passes preserve each RNG stream's
-                    // internal draw order (channel and jitter draws live
-                    // on separate streams).
-                    let resolver = mesh_resolver.as_mut().expect("guarded by arm");
-                    let attempts = &mut scratch.mh_attempts;
-                    attempts.clear();
-                    for id in 0..scenario.n_nodes {
-                        if !present[id as usize] {
-                            continue;
-                        }
-                        let intent = match soa.static_intent(id as usize) {
-                            Some(si) => {
-                                #[cfg(debug_assertions)]
-                                {
-                                    let pos = proto_rngs[id as usize].stream_pos();
-                                    let local = oscs[id as usize].local_us(t0);
-                                    let mut ctx =
-                                        node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                                    let real = nodes[id as usize].intent(&mut ctx);
-                                    assert_eq!(real, si, "static intent diverged for node {id}");
-                                    assert_eq!(
-                                        proto_rngs[id as usize].stream_pos(),
-                                        pos,
-                                        "static intent consumed randomness for node {id}"
-                                    );
-                                }
-                                si
-                            }
-                            None => {
-                                let local = oscs[id as usize].local_us(t0);
-                                let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                                nodes[id as usize].intent(&mut ctx)
-                            }
-                        };
-                        match intent {
-                            BeaconIntent::Silent => {}
-                            BeaconIntent::Contend => {
-                                let slot = window.draw_slot(&mut backoff_rngs[id as usize]);
-                                attempts.push(MhAttempt {
-                                    station: id,
-                                    slot,
-                                    relay: false,
-                                });
-                            }
-                            BeaconIntent::FixedSlot(slot) => attempts.push(MhAttempt {
-                                station: id,
-                                slot,
-                                relay: false,
-                            }),
-                            BeaconIntent::RelayAfterRx(slot) => attempts.push(MhAttempt {
-                                station: id,
-                                slot,
-                                relay: true,
-                            }),
-                        }
-                    }
-
+                Some(resolver) => {
+                    // Multi-hop: local carrier sense, hidden terminals,
+                    // spatial reuse and in-window relaying, resolved per
+                    // collision domain with reused buffers.
+                    let topo = topology.as_ref().expect("a resolver implies a topology");
+                    let attempts = &scratch.mh_attempts;
                     if channel.is_jammed() {
                         jammed_windows += 1;
                         bp_counters.window_jammed += 1;
@@ -1142,47 +934,27 @@ impl Network {
                                 nodes[a.station as usize].on_tx_outcome(&mut ctx, true);
                             }
                         }
+                        &[]
                     } else if attempts.is_empty() {
                         silent_windows += 1;
                         bp_counters.window_silent += 1;
+                        &[]
                     } else {
-                        let airtime_slots = pcfg.beacon_airtime_slots;
-                        let out = resolver.resolve(topo, attempts, airtime_slots);
-
+                        let out = resolver.resolve(topo, attempts, pcfg.beacon_airtime_slots);
                         // Beacons are produced at each transmitter's start
                         // slot; deliveries happen one airtime later.
-                        scratch.payloads.fill(None);
                         for &(station, slot) in &out.transmissions {
-                            let t_tx = t0 + window.delay_of(slot);
-                            bp_counters.beacon_tx += 1;
-                            if passive {
-                                scratch.batch_txs.push(station);
-                            }
-                            let jitter =
-                                jitter_rng.random_range(0.0..=scenario.timestamp_jitter_us);
-                            let tx_local = oscs[station as usize].local_us(t_tx) + jitter;
-                            let mut ctx =
-                                node_ctx!(proto_rngs, &mut anchors, &pcfg, station, tx_local);
-                            let payload = nodes[station as usize].make_beacon(&mut ctx);
-                            // Reception instant is per-transmitter, not
-                            // per-delivery: hoist it out of the receiver
-                            // loop (same integer-time expression the slow
-                            // path evaluates per delivery).
-                            scratch.t_rx_by_tx[station as usize] = t0
-                                + window.delay_of(slot)
-                                + phy.beacon_airtime(payload.is_secured())
-                                + phy.propagation();
-                            scratch.payloads[station as usize] = Some(payload);
+                            transmit!(station, slot);
                         }
                         // Transmit feedback: a transmission that reached at
                         // least one receiver counts as clean.
-                        scratch.reached.fill(false);
                         for d in &out.deliveries {
-                            scratch.reached[d.tx as usize] = true;
+                            scratch.on_air[scratch.on_air_of[d.tx as usize] as usize].reached =
+                                true;
                         }
-                        for &(station, _) in &out.transmissions {
-                            let ok = scratch.reached[station as usize];
-                            if ok {
+                        for (beacon, &(station, _)) in scratch.on_air.iter().zip(&out.transmissions)
+                        {
+                            if beacon.reached {
                                 tx_successes += 1;
                                 bp_counters.window_success += 1;
                             } else {
@@ -1192,289 +964,120 @@ impl Network {
                             let local = oscs[station as usize].local_us(t0);
                             let mut ctx =
                                 node_ctx!(proto_rngs, &mut anchors, &pcfg, station, local);
-                            nodes[station as usize].on_tx_outcome(&mut ctx, !ok);
+                            nodes[station as usize].on_tx_outcome(&mut ctx, !beacon.reached);
                         }
-                        // Two-pass batched deliveries: filter the present
-                        // receivers (in delivery order), take every
-                        // channel-error draw in one pass, then run jitter
-                        // and protocol processing for the survivors only.
-                        let rx_del = &mut scratch.mh_rx;
-                        rx_del.clear();
-                        if all_present {
-                            rx_del.extend_from_slice(&out.deliveries);
-                        } else {
-                            for d in &out.deliveries {
-                                if present[d.rx as usize] {
-                                    rx_del.push(*d);
-                                }
-                            }
-                        }
-                        bp_counters.rx_attempt += rx_del.len() as u64;
-                        channel.deliver_batch(&mut chan_rng, rx_del.len(), &mut scratch.rx_fates);
-                        for (d, &fate) in rx_del.iter().zip(scratch.rx_fates.iter()) {
-                            if fate == Delivery::Lost {
-                                bp_counters.rx_lost += 1;
-                                continue;
-                            }
-                            bp_counters.rx_delivered += 1;
-                            let payload = scratch.payloads[d.tx as usize]
-                                .expect("every delivery has a transmitter");
-                            let t_rx = scratch.t_rx_by_tx[d.tx as usize];
-                            let rx_jitter =
-                                jitter_rng.random_range(0.0..=scenario.timestamp_jitter_us);
-                            let local_rx = oscs[d.rx as usize].local_us(t_rx) + rx_jitter;
-                            // Passive capture reads the *virtual* clock: the
-                            // SoA entry is refreshed only at BP end and can
-                            // be stale mid-window.
-                            let (clock_before, stats_before) = if passive {
-                                (
-                                    nodes[d.rx as usize].clock_us(local_rx),
-                                    nodes[d.rx as usize].sstsp_stats(),
-                                )
-                            } else {
-                                (0.0, None)
-                            };
-                            {
-                                let mut ctx =
-                                    node_ctx!(proto_rngs, &mut anchors, &pcfg, d.rx, local_rx);
-                                nodes[d.rx as usize].on_beacon(
-                                    &mut ctx,
-                                    ReceivedBeacon {
-                                        payload,
-                                        local_rx_us: local_rx,
-                                    },
-                                );
-                            }
-                            if passive {
-                                scratch.batch_rxs.push(BatchRx {
-                                    src: d.tx,
-                                    dst: d.rx,
-                                    t_rx,
-                                    clock_before_us: clock_before,
-                                    stats_before,
-                                    stats_after: nodes[d.rx as usize].sstsp_stats(),
-                                });
-                            }
-                        }
-                    }
-                }
-                Some(topo) => {
-                    // Multi-hop path: local carrier sense, hidden
-                    // terminals, spatial reuse, and in-window relaying.
-                    let attempts = &mut scratch.mh_attempts;
-                    attempts.clear();
-                    for id in 0..scenario.n_nodes {
-                        if !present[id as usize] {
-                            continue;
-                        }
-                        let local = oscs[id as usize].local_us(t0);
-                        let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                        match nodes[id as usize].intent(&mut ctx) {
-                            BeaconIntent::Silent => {}
-                            BeaconIntent::Contend => {
-                                let slot = window.draw_slot(&mut backoff_rngs[id as usize]);
-                                attempts.push(MhAttempt {
-                                    station: id,
-                                    slot,
-                                    relay: false,
-                                });
-                            }
-                            BeaconIntent::FixedSlot(slot) => attempts.push(MhAttempt {
-                                station: id,
-                                slot,
-                                relay: false,
-                            }),
-                            BeaconIntent::RelayAfterRx(slot) => attempts.push(MhAttempt {
-                                station: id,
-                                slot,
-                                relay: true,
-                            }),
-                        }
-                    }
-
-                    if channel.is_jammed() {
-                        jammed_windows += 1;
-                        bp_counters.window_jammed += 1;
-                        for a in attempts.iter() {
-                            if !a.relay {
-                                let local = oscs[a.station as usize].local_us(t0);
-                                let mut ctx =
-                                    node_ctx!(proto_rngs, &mut anchors, &pcfg, a.station, local);
-                                nodes[a.station as usize].on_tx_outcome(&mut ctx, true);
-                            }
-                        }
-                    } else if attempts.is_empty() {
-                        silent_windows += 1;
-                        bp_counters.window_silent += 1;
-                    } else {
-                        let airtime_slots = pcfg.beacon_airtime_slots;
-                        // With a collision-domain decomposition the window
-                        // resolves per domain; `resolve_mesh` is pinned
-                        // output-identical to the naive global resolution
-                        // (wireless mesh_props differential proptests), so
-                        // existing multi-hop goldens are unaffected.
-                        let out = match &domains {
-                            Some(d) => resolve_mesh(topo, d, attempts, airtime_slots),
-                            None => resolve_multihop(topo, attempts, airtime_slots),
-                        };
-
-                        // Beacons are produced at each transmitter's start
-                        // slot; deliveries happen one airtime later.
-                        scratch.payloads.fill(None);
-                        for &(station, slot) in &out.transmissions {
-                            let t_tx = t0 + window.delay_of(slot);
-                            bp_counters.beacon_tx += 1;
-                            if active {
-                                hook.on_beacon_tx(k, station, t_tx);
-                            }
-                            let jitter =
-                                jitter_rng.random_range(0.0..=scenario.timestamp_jitter_us);
-                            let tx_local = oscs[station as usize].local_us(t_tx) + jitter;
-                            let mut ctx =
-                                node_ctx!(proto_rngs, &mut anchors, &pcfg, station, tx_local);
-                            scratch.payloads[station as usize] =
-                                Some(nodes[station as usize].make_beacon(&mut ctx));
-                        }
-                        // Transmit feedback: a transmission that reached at
-                        // least one receiver counts as clean.
-                        scratch.reached.fill(false);
-                        for d in &out.deliveries {
-                            scratch.reached[d.tx as usize] = true;
-                        }
-                        for &(station, _) in &out.transmissions {
-                            let ok = scratch.reached[station as usize];
-                            if ok {
-                                tx_successes += 1;
-                                bp_counters.window_success += 1;
-                            } else {
-                                tx_collisions += 1;
-                                bp_counters.window_collision += 1;
-                            }
-                            let local = oscs[station as usize].local_us(t0);
-                            let mut ctx =
-                                node_ctx!(proto_rngs, &mut anchors, &pcfg, station, local);
-                            nodes[station as usize].on_tx_outcome(&mut ctx, !ok);
-                        }
-                        // Deliveries, in slot order (relays react next BP;
+                        // Deliveries in slot order (relays react next BP;
                         // in-window relay chaining was already decided by
-                        // the resolution).
-                        for d in &out.deliveries {
-                            if !present[d.rx as usize] {
-                                continue;
-                            }
-                            bp_counters.rx_attempt += 1;
-                            if channel.deliver(&mut chan_rng) == Delivery::Lost {
-                                bp_counters.rx_lost += 1;
-                                continue;
-                            }
-                            let mut payload = scratch.payloads[d.tx as usize]
-                                .expect("every delivery has a transmitter");
-                            // Airtime is that of the transmitted frame; a
-                            // hook corrupting the receiver's copy does not
-                            // change when the energy left the channel.
-                            let t_rx = t0
-                                + window.delay_of(d.slot)
-                                + phy.beacon_airtime(payload.is_secured())
-                                + phy.propagation();
-                            let dctx = DeliveryCtx {
-                                bp: k,
-                                src: d.tx,
-                                dst: d.rx,
-                                t_rx,
-                            };
-                            if active && hook.on_delivery(&dctx, &mut payload) == DeliveryFate::Drop
-                            {
-                                bp_counters.rx_hook_dropped += 1;
-                                continue;
-                            }
-                            bp_counters.rx_delivered += 1;
-                            let rx_jitter =
-                                jitter_rng.random_range(0.0..=scenario.timestamp_jitter_us);
-                            let local_rx = oscs[d.rx as usize].local_us(t_rx) + rx_jitter;
-                            let (clock_before, ref_before, stats_before) = if active {
-                                (
-                                    nodes[d.rx as usize].clock_us(local_rx),
-                                    nodes[d.rx as usize].current_reference(),
-                                    nodes[d.rx as usize].sstsp_stats(),
-                                )
-                            } else {
-                                (0.0, None, None)
-                            };
-                            {
-                                let mut ctx =
-                                    node_ctx!(proto_rngs, &mut anchors, &pcfg, d.rx, local_rx);
-                                nodes[d.rx as usize].on_beacon(
-                                    &mut ctx,
-                                    ReceivedBeacon {
-                                        payload,
-                                        local_rx_us: local_rx,
-                                    },
-                                );
-                            }
-                            if active {
-                                hook.post_delivery(&DeliveryObs {
-                                    ctx: dctx,
-                                    payload: &payload,
-                                    local_rx_us: local_rx,
-                                    clock_before_us: clock_before,
-                                    ref_before,
-                                    stats_before,
-                                    stats_after: nodes[d.rx as usize].sstsp_stats(),
-                                    anchors: &anchors,
-                                });
-                            }
+                        // the resolution), to present receivers only.
+                        if all_present {
+                            &out.deliveries
+                        } else {
+                            scratch
+                                .deliveries
+                                .extend(out.deliveries.iter().filter(|d| present[d.rx as usize]));
+                            &scratch.deliveries
                         }
                     }
+                }
+            };
+
+            // --- Deliveries -------------------------------------------
+            // Every channel-error draw of the window is taken in one pass
+            // (identical stream consumption: jitter and hook randomness
+            // live on other streams), then the survivors are processed.
+            bp_counters.rx_attempt += deliveries.len() as u64;
+            channel.deliver_batch(&mut chan_rng, deliveries.len(), &mut scratch.rx_fates);
+            for (d, &fate) in deliveries.iter().zip(scratch.rx_fates.iter()) {
+                if fate == Delivery::Lost {
+                    bp_counters.rx_lost += 1;
+                    continue;
+                }
+                // Each receiver processes its own copy: a corruption fault
+                // at one receiver models that receiver's demodulation
+                // errors, not a change to the transmitted frame (whose
+                // airtime fixed `t_rx`).
+                let OnAir {
+                    mut payload, t_rx, ..
+                } = scratch.on_air[scratch.on_air_of[d.tx as usize] as usize];
+                let dctx = DeliveryCtx {
+                    bp: k,
+                    src: d.tx,
+                    dst: d.rx,
+                    t_rx,
+                };
+                if active && hook.on_delivery(&dctx, &mut payload) == DeliveryFate::Drop {
+                    bp_counters.rx_hook_dropped += 1;
+                    continue;
+                }
+                bp_counters.rx_delivered += 1;
+                // Receiver-side timestamping noise: each station stamps the
+                // arrival with its own hardware path, contributing (with
+                // the sender-side jitter) the paper's receiver estimation
+                // error ε.
+                let rx_jitter = jitter_rng.random_range(0.0..=scenario.timestamp_jitter_us);
+                let local_rx = oscs[d.rx as usize].local_us(t_rx) + rx_jitter;
+                let rx = &mut nodes[d.rx as usize];
+                // Hooks observe the *virtual* clock: the SoA entry is
+                // refreshed only at BP end and can be stale mid-window.
+                let (clock_before, ref_before, stats_before) = if active {
+                    (
+                        rx.clock_us(local_rx),
+                        rx.current_reference(),
+                        rx.sstsp_stats(),
+                    )
+                } else {
+                    (0.0, None, None)
+                };
+                let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, d.rx, local_rx);
+                rx.on_beacon(
+                    &mut ctx,
+                    ReceivedBeacon {
+                        payload,
+                        local_rx_us: local_rx,
+                    },
+                );
+                if active {
+                    hook.post_delivery(&DeliveryObs {
+                        ctx: dctx,
+                        payload: &payload,
+                        local_rx_us: local_rx,
+                        clock_before_us: clock_before,
+                        ref_before,
+                        stats_before,
+                        stats_after: rx.sstsp_stats(),
+                        anchors: &anchors,
+                    });
                 }
             }
 
             // --- End of BP --------------------------------------------
             lap!(2);
             let t_end = t0 + bp - SimDuration::from_us(1);
+            // Fused sweep: the final callback of the BP, the SoA snapshot,
+            // and the spread-metric clock read share one pass (and one
+            // oscillator evaluation per node). The snapshot keeps the SoA
+            // exact for this BP's metric reads and the next BP's intent
+            // scan; any interim mutation — join — refreshes at its own site.
             scratch.clocks.clear();
-            if fastpath {
-                // Fused sweep: the final callback of the BP, the SoA
-                // snapshot, and the spread-metric clock read share one
-                // pass (and one oscillator evaluation per node). The
-                // snapshot keeps the SoA exact for this BP's metric read
-                // and the next BP's intent scan; any interim mutation —
-                // join, leave — refreshes at its own site.
-                for id in 0..scenario.n_nodes {
-                    let i = id as usize;
-                    if !present[i] {
-                        continue;
-                    }
-                    let local = oscs[i].local_us(t_end);
-                    let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                    nodes[i].on_bp_end(&mut ctx);
-                    soa.refresh(i, &*nodes[i], &pcfg);
-                    if honest[i] && soa.synchronized(i) {
-                        let c = soa
-                            .clock_us(i, local)
-                            .unwrap_or_else(|| nodes[i].clock_us(local));
-                        debug_assert_eq!(
-                            c.to_bits(),
-                            nodes[i].clock_us(local).to_bits(),
-                            "SoA affine clock diverged for node {i}"
-                        );
-                        scratch.clocks.push(c);
-                    }
+            for id in 0..scenario.n_nodes {
+                let i = id as usize;
+                if !present[i] {
+                    continue;
                 }
-            } else {
-                for id in 0..scenario.n_nodes {
-                    if !present[id as usize] {
-                        continue;
-                    }
-                    let local = oscs[id as usize].local_us(t_end);
-                    let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                    nodes[id as usize].on_bp_end(&mut ctx);
-                }
-                for i in 0..scenario.n_nodes as usize {
-                    if present[i] && honest[i] && nodes[i].is_synchronized() {
-                        scratch
-                            .clocks
-                            .push(nodes[i].clock_us(oscs[i].local_us(t_end)));
-                    }
+                let local = oscs[i].local_us(t_end);
+                let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
+                nodes[i].on_bp_end(&mut ctx);
+                soa.refresh(i, &*nodes[i], &pcfg);
+                if honest[i] && mirror!(soa, nodes, is_synchronized, i) {
+                    let c = soa
+                        .clock_us(i, local)
+                        .unwrap_or_else(|| nodes[i].clock_us(local));
+                    debug_assert_eq!(
+                        c.to_bits(),
+                        nodes[i].clock_us(local).to_bits(),
+                        "SoA affine clock diverged for node {i}"
+                    );
+                    scratch.clocks.push(c);
                 }
             }
 
@@ -1492,13 +1095,8 @@ impl Network {
             }
 
             lap!(4);
-            let current_ref = if fastpath {
-                (0..scenario.n_nodes)
-                    .find(|&id| present[id as usize] && soa.is_reference(id as usize))
-            } else {
-                (0..scenario.n_nodes)
-                    .find(|&id| present[id as usize] && nodes[id as usize].is_reference())
-            };
+            let current_ref = (0..scenario.n_nodes)
+                .find(|&id| present[id as usize] && mirror!(soa, nodes, is_reference, id as usize));
             if current_ref != last_reference {
                 if current_ref.is_some() {
                     reference_changes += 1;
@@ -1520,11 +1118,7 @@ impl Network {
                     .filter(|&i| {
                         present[i]
                             && honest[i]
-                            && if fastpath {
-                                soa.current_reference(i) == Some(atk)
-                            } else {
-                                nodes[i].current_reference() == Some(atk)
-                            }
+                            && mirror!(soa, nodes, current_reference, i) == Some(atk)
                     })
                     .count();
                 let honest_present = (0..scenario.n_nodes as usize)
@@ -1535,7 +1129,7 @@ impl Network {
                 }
             }
 
-            if hooked {
+            if active {
                 snapshots.clear();
                 for i in 0..scenario.n_nodes as usize {
                     snapshots.push(NodeSnapshot {
@@ -1555,48 +1149,6 @@ impl Network {
                     reference: current_ref,
                     disturbed,
                 });
-            } else if passive {
-                // Batched dispatch for fast-path-safe hooks: one callback
-                // per BP carrying everything the per-event slow path would
-                // have reported. The SoA was refreshed by the fused sweep
-                // above, so the per-domain reference scan and the spread
-                // (min/max over the same qualifying clock set the slow
-                // path's `view_spread_us` uses) read end-of-BP state.
-                let domain_refs: Option<&[Option<NodeId>]> = if let Some(d) = &domains {
-                    scratch.domain_refs.clear();
-                    for members in &d.domains {
-                        scratch.domain_refs.push(
-                            members
-                                .iter()
-                                .copied()
-                                .find(|&id| present[id as usize] && soa.is_reference(id as usize)),
-                        );
-                    }
-                    Some(&scratch.domain_refs)
-                } else {
-                    None
-                };
-                let spread_us = (scratch.clocks.len() >= 2).then(|| {
-                    let mut lo = f64::INFINITY;
-                    let mut hi = f64::NEG_INFINITY;
-                    for &c in &scratch.clocks {
-                        lo = lo.min(c);
-                        hi = hi.max(c);
-                    }
-                    hi - lo
-                });
-                hook.on_bp_batch(&BpBatch {
-                    bp: k,
-                    t_end,
-                    txs: &scratch.batch_txs,
-                    rxs: &scratch.batch_rxs,
-                    domain_refs,
-                    reference: current_ref,
-                    spread_us,
-                    disturbed,
-                });
-                scratch.batch_txs.clear();
-                scratch.batch_rxs.clear();
             }
 
             lap!(5);
@@ -1605,7 +1157,6 @@ impl Network {
             }
             SimControl::Continue
         });
-
         if prof {
             let names = ["events", "intent", "window+rx", "bp_end", "metrics", "tail"];
             let per_bp_node = 1e0 / (total_bps as f64 * scenario.n_nodes as f64);

@@ -176,96 +176,20 @@ pub struct BpView<'a> {
     pub disturbed: bool,
 }
 
-/// What an active hook promises the engine, letting it pick the fastest
-/// execution path that still honors the hook's observation needs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HookCaps {
-    /// The hook is a *passive observer* that can be fed from the fast
-    /// path's batched end-of-BP callback ([`EngineHook::on_bp_batch`])
-    /// instead of per-event dispatch. A fast-path-safe hook must not rely
-    /// on `on_bp_start` (it never injects [`FaultAction`]s), `on_window`,
-    /// `on_delivery` (it never mutates or drops payloads), `post_delivery`,
-    /// or `on_bp_end` — on the fast path none of those are called. It still
-    /// receives `on_run_start`, `on_beacon_tx`-equivalent data inside each
-    /// batch, and `on_run_end`.
-    pub fastpath_safe: bool,
-}
-
-/// One beacon reception as captured by the fast path for a batched hook:
-/// the per-receiver identification plus the protocol-state deltas the slow
-/// path would have exposed through [`DeliveryObs`].
-#[derive(Debug, Clone, Copy)]
-pub struct BatchRx {
-    /// Transmitting station.
-    pub src: NodeId,
-    /// Receiving station.
-    pub dst: NodeId,
-    /// Simulated reception instant.
-    pub t_rx: SimTime,
-    /// Receiver's adjusted clock at the reception instant, before
-    /// processing.
-    pub clock_before_us: f64,
-    /// SSTSP diagnostic counters before processing (`None` for protocols
-    /// without them).
-    pub stats_before: Option<SstspStats>,
-    /// The same counters after processing.
-    pub stats_after: Option<SstspStats>,
-}
-
-/// Everything a beacon period produced, handed to fast-path-safe hooks in
-/// one end-of-BP callback. Transmissions are in slot order and receptions
-/// in delivery order — exactly the order the slow path would have emitted
-/// the corresponding per-event callbacks.
-pub struct BpBatch<'a> {
-    /// Beacon period index (1-based).
-    pub bp: u64,
-    /// The BP-end sampling instant.
-    pub t_end: SimTime,
-    /// Stations that transmitted a beacon this BP, in slot order.
-    pub txs: &'a [NodeId],
-    /// Completed deliveries, in delivery order.
-    pub rxs: &'a [BatchRx],
-    /// Per-collision-domain reference holders (`None` entries for domains
-    /// without one); `None` for single-hop runs.
-    pub domain_refs: Option<&'a [Option<NodeId>]>,
-    /// Station holding the (global) reference role, if any.
-    pub reference: Option<NodeId>,
-    /// Spread across present, honest, synchronized stations at `t_end`
-    /// (`None` with fewer than two qualifying stations).
-    pub spread_us: Option<f64>,
-    /// Whether the engine disturbed the network this BP (same meaning as
-    /// [`BpView::disturbed`]).
-    pub disturbed: bool,
-}
-
 /// Observer/actor attached to a [`crate::engine::Network`] run.
 ///
 /// All methods have no-op defaults; implementors override what they need.
 /// The engine calls them in a fixed order per BP: `on_bp_start` (collect
-/// fault actions) → `on_delivery`/`post_delivery` per beacon delivery →
-/// `on_bp_end` after metrics. Hooks declaring themselves fast-path-safe
-/// via [`EngineHook::capabilities`] instead receive one [`BpBatch`] per BP
-/// through [`EngineHook::on_bp_batch`].
+/// fault actions) → `on_window` (single-hop) → `on_beacon_tx` per
+/// transmission → `on_delivery`/`post_delivery` per beacon delivery →
+/// `on_bp_end` after metrics.
 pub trait EngineHook {
-    /// Whether the hook wants per-delivery observations and BP views. The
-    /// engine skips snapshot assembly entirely when `false`, keeping the
-    /// uninstrumented hot path allocation- and virtual-call-free.
+    /// Whether the hook wants the per-event callbacks. When `false` the
+    /// engine calls only `on_run_start` and `on_run_end`, keeping the
+    /// uninstrumented hot path free of snapshot assembly and virtual calls.
     fn active(&self) -> bool {
         true
     }
-
-    /// What this hook promises the engine. The default (no capabilities)
-    /// keeps an active hook on the fully-instrumented slow path; passive
-    /// observers override this to stay on the fast path.
-    fn capabilities(&self) -> HookCaps {
-        HookCaps::default()
-    }
-
-    /// Called at the end of each BP on the fast path when
-    /// [`capabilities`](EngineHook::capabilities) declared
-    /// `fastpath_safe`. Replaces the per-event callbacks for passive
-    /// observers; never called on the slow path.
-    fn on_bp_batch(&mut self, _batch: &BpBatch<'_>) {}
 
     /// Called once after node initiation (anchors published), before BP 1.
     fn on_run_start(&mut self, _scenario: &ScenarioConfig, _anchors: &AnchorRegistry) {}

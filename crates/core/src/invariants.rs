@@ -19,7 +19,7 @@
 //! trajectories run violation-free while genuine regressions still trip.
 
 use crate::engine::RunResult;
-use crate::instrument::{BpView, DeliveryObs, EngineHook, HookCaps};
+use crate::instrument::{BpView, DeliveryObs, EngineHook};
 use crate::scenario::{ProtocolKind, ScenarioConfig};
 use protocols::api::{AnchorRegistry, BeaconPayload, NodeId};
 use sstsp_crypto::chain::chain_step_n;
@@ -249,15 +249,6 @@ impl InvariantChecker {
 }
 
 impl EngineHook for InvariantChecker {
-    // Not fast-path-safe: the checker audits each delivery's payload and
-    // before/after stats via `post_delivery`, which only the per-event
-    // slow path computes.
-    fn capabilities(&self) -> HookCaps {
-        HookCaps {
-            fastpath_safe: false,
-        }
-    }
-
     fn post_delivery(&mut self, obs: &DeliveryObs<'_>) {
         if !obs.accepted() {
             return;

@@ -1,11 +1,10 @@
-//! Large-n fast-path kernel: dense node state and the quiescent-BP
-//! timeline.
+//! Large-n kernel: dense node state and the quiescent-BP timeline.
 //!
-//! The engine's default per-BP loop reaches every station through a
-//! `Box<dyn SyncProtocol>` — fine at the paper's n = 30, but at n = 1000+
-//! the virtual dispatch and scattered node structs dominate the beacon
-//! period. This module holds the two data structures the fast path uses to
-//! avoid that work without changing a single observable bit:
+//! Reaching every station through a `Box<dyn SyncProtocol>` is fine at the
+//! paper's n = 30, but at n = 1000+ the virtual dispatch and scattered node
+//! structs dominate the beacon period. This module holds the two data
+//! structures the engine's beacon-period loop uses to avoid that work
+//! without changing a single observable bit:
 //!
 //! * [`NodeSoa`] — a structure-of-arrays mirror of each node's
 //!   [`HotState`](protocols::api::HotState): adjusted-clock `(k, b)`
@@ -17,15 +16,13 @@
 //!   with linear passes over these vectors.
 //! * [`BpTimeline`] — a precomputed per-BP "anything scheduled?" bitmap
 //!   over churn departures, reference departures, jamming windows and
-//!   attacker activity. On a quiescent BP (nothing scheduled, no rejoin
-//!   due, hook inactive) the engine skips the scenario-event scans
-//!   entirely and runs only the slimmed hot loop, falling back to the
-//!   exact full loop at the first interesting BP.
+//!   attacker or campaign activity. On a quiescent BP (nothing scheduled,
+//!   no rejoin due, no hook fault action, no fault-layer jam) the engine
+//!   skips the scenario-event scans entirely.
 //!
 //! Both structures are pure caches: every value they hold must equal what
-//! the corresponding trait call would return at the instant of use, and
-//! the engine cross-checks that in debug builds. Disabling the fast path
-//! (`SSTSP_NO_FASTPATH=1`) removes every read of this module from the run.
+//! the corresponding trait call would return at the instant of use. Debug
+//! builds cross-check every read against that trait call.
 
 use protocols::api::{BeaconIntent, HotState, NodeId, ProtocolConfig, SyncProtocol};
 use simcore::{SimDuration, SimTime};
@@ -105,7 +102,7 @@ impl NodeSoa {
 
     /// Mirror of `is_synchronized()`.
     #[inline]
-    pub fn synchronized(&self, i: usize) -> bool {
+    pub fn is_synchronized(&self, i: usize) -> bool {
         self.synchronized[i]
     }
 
@@ -131,7 +128,7 @@ impl NodeSoa {
 
 /// Precomputed per-BP scenario-event map: which beacon periods have *any*
 /// scheduled disturbance (churn departure, reference departure, jamming
-/// window, attacker activity).
+/// window, attacker or campaign activity).
 ///
 /// Jam and attack windows are specified in seconds and the engine compares
 /// them against the BP start time, so the builder replicates the engine's

@@ -14,9 +14,9 @@
 //! * [`invariants`] — the protocol invariant checker evaluated every beacon
 //!   period (clock monotonicity, guard influence bound, µTESLA key
 //!   freshness, synced-set spread bound);
-//! * [`kernel`] — the large-n fast-path kernel: dense structure-of-arrays
-//!   node state and the quiescent-BP timeline (bit-identical to the plain
-//!   loop; disable with `SSTSP_NO_FASTPATH=1`);
+//! * [`kernel`] — the large-n kernel: dense structure-of-arrays node state
+//!   and the quiescent-BP timeline, pure caches the engine's one
+//!   beacon-period loop reads (cross-checked in debug builds);
 //! * [`experiments`] — one module per table/figure of the paper, each
 //!   producing the exact rows/series the paper reports;
 //! * [`sweep`] — rayon-parallel seed and parameter sweeps (deterministic

@@ -12,9 +12,7 @@
 //! uses. Protocols without stats classify as [`RxOutcome::Ignored`].
 
 use crate::engine::RunResult;
-use crate::instrument::{
-    BpBatch, BpView, DeliveryCtx, DeliveryFate, DeliveryObs, EngineHook, HookCaps,
-};
+use crate::instrument::{BpView, DeliveryCtx, DeliveryFate, DeliveryObs, EngineHook};
 use crate::scenario::{CampaignSpec, ScenarioConfig, TopologySpec};
 use protocols::api::{AnchorRegistry, BeaconPayload, NodeId};
 use protocols::sstsp::SstspStats;
@@ -123,14 +121,6 @@ impl TraceRecorder {
 }
 
 impl EngineHook for TraceRecorder {
-    /// The recorder is a pure observer, so it rides the fast path and is
-    /// fed per-BP batches instead of per-event callbacks.
-    fn capabilities(&self) -> HookCaps {
-        HookCaps {
-            fastpath_safe: true,
-        }
-    }
-
     fn on_run_start(&mut self, scenario: &ScenarioConfig, _anchors: &AnchorRegistry) {
         // Mesh runs: rebuild the (deterministic) domain decomposition so the
         // recorder can narrate per-domain reference elections.
@@ -211,57 +201,6 @@ impl EngineHook for TraceRecorder {
             spread_us: view_spread_us(view),
             reference: view.reference,
             disturbed: view.disturbed,
-        });
-    }
-
-    /// Fast-path feed: replay one BP's batch into the exact event sequence
-    /// the per-event callbacks would have produced — transmissions in slot
-    /// order, receptions in delivery order, then domain/global reference
-    /// diffs, then the BP summary. `fastpath_equivalence` pins recorded
-    /// traces identical across the two paths.
-    fn on_bp_batch(&mut self, batch: &BpBatch<'_>) {
-        for &src in batch.txs {
-            self.events.push(TraceEvent::BeaconTx { bp: batch.bp, src });
-            if let Some(ev) = self.campaign_annotation(batch.bp, src) {
-                self.events.push(ev);
-            }
-        }
-        for rx in batch.rxs {
-            self.events.push(TraceEvent::BeaconRx {
-                bp: batch.bp,
-                src: rx.src,
-                dst: rx.dst,
-                t_rx_us: rx.t_rx.as_us_f64(),
-                clock_before_us: rx.clock_before_us,
-                outcome: classify_rx(rx.stats_before, rx.stats_after),
-            });
-        }
-        if let Some(domain_refs) = batch.domain_refs {
-            for (di, &holder) in domain_refs.iter().enumerate() {
-                if holder != self.last_domain_refs[di] {
-                    self.events.push(TraceEvent::DomainRefChange {
-                        bp: batch.bp,
-                        domain: di as u32,
-                        from: self.last_domain_refs[di],
-                        to: holder,
-                    });
-                    self.last_domain_refs[di] = holder;
-                }
-            }
-        }
-        if batch.reference != self.last_reference {
-            self.events.push(TraceEvent::RefChange {
-                bp: batch.bp,
-                from: self.last_reference,
-                to: batch.reference,
-            });
-            self.last_reference = batch.reference;
-        }
-        self.events.push(TraceEvent::BpEnd {
-            bp: batch.bp,
-            spread_us: batch.spread_us,
-            reference: batch.reference,
-            disturbed: batch.disturbed,
         });
     }
 

@@ -15,8 +15,8 @@
 //!
 //! and paste the printed table over `GOLDENS`.
 
-use sstsp::scenario::TopologySpec;
-use sstsp::{InvariantChecker, Network, NoopHook, ProtocolKind, ScenarioConfig};
+use sstsp::scenario::{CampaignKind, CampaignSpec, TopologySpec};
+use sstsp::{InvariantChecker, Network, NoopHook, ProtocolKind, ScenarioConfig, TraceRecorder};
 
 const N_NODES: u32 = 8;
 const DURATION_S: f64 = 12.0;
@@ -133,34 +133,67 @@ fn fixed_seed_multihop_and_ablation_match_recorded_goldens() {
     assert_golden(&r, &GOLDEN_ABLATION, "ablation-refchange");
 }
 
-/// Hook transparency: attaching a hook — whether the inert [`NoopHook`] or
-/// the passively observing [`InvariantChecker`] — must leave the run
-/// bit-identical to the plain path. This is what lets every experiment run
-/// invariant-checked while the goldens above stay valid.
+/// Hook transparency: attaching a hook — the inert [`NoopHook`], the
+/// passively recording [`TraceRecorder`], or the passively observing
+/// [`InvariantChecker`] — must leave the run bit-identical to a plain one.
+/// Every run takes the same beacon-period loop, so this covers every loop
+/// shape: the golden single-hop, multi-hop line and ablation shapes, the
+/// bridged mesh (per-domain election), a coordinated-adversary campaign
+/// (members without static intents) and the n = 1000 single-hop regime.
+/// This is what lets every experiment run invariant-checked and every run
+/// be traced while the goldens above stay valid.
 #[test]
 fn hooked_runs_are_bit_identical_to_plain_runs() {
-    for cfg in [
-        ScenarioConfig::new(ProtocolKind::Sstsp, N_NODES, DURATION_S, SEED),
-        multihop_cfg(),
-        ablation_cfg(),
+    let mut mesh = ScenarioConfig::new(ProtocolKind::Sstsp, 13, DURATION_S, SEED);
+    mesh.topology = Some(TopologySpec::Bridged {
+        domains: 2,
+        cols: 3,
+        rows: 2,
+    });
+    let mut campaign = ScenarioConfig::new(ProtocolKind::Sstsp, 12, DURATION_S, SEED);
+    campaign.campaign = Some(CampaignSpec {
+        kind: CampaignKind::Coalition {
+            error_us: 800.0,
+            delay_bps: 2,
+        },
+        attackers: 3,
+        start_s: 5.0,
+        end_s: 10.0,
+    });
+    let large = ScenarioConfig::new(ProtocolKind::Sstsp, 1000, 5.0, 2006);
+    // (name, scenario, whether the invariant checker must find it clean).
+    for (name, cfg, clean) in [
+        (
+            "single-hop",
+            ScenarioConfig::new(ProtocolKind::Sstsp, N_NODES, DURATION_S, SEED),
+            true,
+        ),
+        ("multihop-line", multihop_cfg(), true),
+        ("ablation-refchange", ablation_cfg(), true),
+        ("bridged-mesh", mesh, false),
+        ("campaign", campaign, false),
+        ("single-hop n=1000", large, false),
     ] {
-        let plain = Network::build(&cfg).run();
-        let noop = Network::build(&cfg).run_with_hook(&mut NoopHook);
-        let mut checker = InvariantChecker::for_scenario(&cfg);
-        let checked = Network::build(&cfg).run_with_hook(&mut checker);
+        // `RunResult`'s Debug rendering covers every field, the full
+        // spread series included, with floats printed round-trip exact.
+        let plain = format!("{:?}", Network::build(&cfg).run());
+        let noop = format!("{:?}", Network::build(&cfg).run_with_hook(&mut NoopHook));
+        assert_eq!(plain, noop, "{name}: NoopHook run");
+        let mut tracer = TraceRecorder::new();
+        let traced = format!("{:?}", Network::build(&cfg).run_with_hook(&mut tracer));
+        assert_eq!(plain, traced, "{name}: TraceRecorder run");
         assert!(
-            checker.violations().is_empty(),
-            "default scenario must be violation-free: {:?}",
+            tracer.events().len() as u64 > cfg.total_bps(),
+            "{name}: the recorder saw the run"
+        );
+        let mut checker = InvariantChecker::for_scenario(&cfg);
+        let audited = format!("{:?}", Network::build(&cfg).run_with_hook(&mut checker));
+        assert_eq!(plain, audited, "{name}: InvariantChecker run");
+        assert!(
+            !clean || checker.violations().is_empty(),
+            "{name}: default scenario must be violation-free: {:?}",
             checker.violations()
         );
-        for hooked in [&noop, &checked] {
-            assert_eq!(plain.spread.values(), hooked.spread.values());
-            assert_eq!(plain.tx_successes, hooked.tx_successes);
-            assert_eq!(plain.tx_collisions, hooked.tx_collisions);
-            assert_eq!(plain.retargets, hooked.retargets);
-            assert_eq!(plain.final_reference, hooked.final_reference);
-            assert_eq!(plain.peak_spread_us, hooked.peak_spread_us);
-        }
     }
 }
 

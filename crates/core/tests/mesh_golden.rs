@@ -68,12 +68,12 @@ const GOLDEN_ELECTIONS: [(u64, u32, Option<u32>, Option<u32>); 2] = [
 ];
 
 /// Telemetry pins for the domain-election machinery: (counter, total).
-/// `engine.path.fast == 1` proves the bridged mesh rides the per-domain
-/// fast path even with the (fast-path-safe) `TraceRecorder` attached.
+/// `engine.path.fast == 1` counts the one traced run: with the
+/// `TraceRecorder` attached, the bridged mesh takes the engine's single
+/// beacon-period loop like any other run.
 #[rustfmt::skip]
-const GOLDEN_COUNTERS: [(&str, u64); 4] = [
+const GOLDEN_COUNTERS: [(&str, u64); 3] = [
     ("engine.path.fast", 1),
-    ("engine.path.slow", 0),
     ("sstsp.subordinate", 1),
     ("sstsp.sovereign_revert", 0),
 ];
@@ -209,7 +209,6 @@ fn print_mesh_goldens() {
     println!("GOLDEN_COUNTERS:");
     for key in [
         "engine.path.fast",
-        "engine.path.slow",
         "sstsp.subordinate",
         "sstsp.sovereign_revert",
     ] {

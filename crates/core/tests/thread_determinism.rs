@@ -141,7 +141,13 @@ fn sweeps_identical_across_rayon_pool_sizes() {
         return;
     }
 
-    let parent = fingerprint(); // default pool
+    // Default pool. The sweep runs inside a telemetry session: sessions are
+    // exclusive, so its counters cannot leak into the scoped-pool test's
+    // session when the test harness runs the two tests concurrently.
+    let parent = {
+        let _session = telemetry::recording();
+        fingerprint()
+    };
 
     let exe = std::env::current_exe().expect("test executable path");
     let out = std::process::Command::new(exe)

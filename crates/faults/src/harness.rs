@@ -17,9 +17,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use simcore::SimTime;
 use sstsp::engine::{Network, RunResult};
-use sstsp::instrument::{
-    BpView, DeliveryCtx, DeliveryFate, DeliveryObs, EngineHook, FaultAction, HookCaps,
-};
+use sstsp::instrument::{BpView, DeliveryCtx, DeliveryFate, DeliveryObs, EngineHook, FaultAction};
 use sstsp::invariants::{InvariantChecker, InvariantKind, Violation};
 use sstsp::scenario::ScenarioConfig;
 use sstsp::trace::TraceRecorder;
@@ -82,16 +80,6 @@ impl FaultHarness {
 }
 
 impl EngineHook for FaultHarness {
-    // Deliberately NOT fast-path-safe: the harness injects faults at BP
-    // start and rewrites/drops payloads per delivery, so it needs the
-    // engine's full per-event slow path. Spelled out so a future default
-    // change cannot silently put fault runs on the fast path.
-    fn capabilities(&self) -> HookCaps {
-        HookCaps {
-            fastpath_safe: false,
-        }
-    }
-
     fn on_run_start(&mut self, scenario: &ScenarioConfig, anchors: &AnchorRegistry) {
         self.checker.on_run_start(scenario, anchors);
     }
@@ -267,15 +255,6 @@ impl TracedHarness {
 }
 
 impl EngineHook for TracedHarness {
-    // Not fast-path-safe: inherits the inner harness's need for per-event
-    // fault injection, and the recorded trace doubles as the replay
-    // golden, which pins the slow path's exact event stream.
-    fn capabilities(&self) -> HookCaps {
-        HookCaps {
-            fastpath_safe: false,
-        }
-    }
-
     fn on_run_start(&mut self, scenario: &ScenarioConfig, anchors: &AnchorRegistry) {
         self.harness.on_run_start(scenario, anchors);
         self.recorder.on_run_start(scenario, anchors);

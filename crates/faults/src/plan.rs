@@ -597,8 +597,24 @@ impl FromStr for FuzzCase {
             }
             let (k, v) = split_kv(token, "case dims")?;
             match k {
-                "n" => n = Some(parse_num(k, v)?),
-                "dur" => dur = Some(parse_num(k, v)?),
+                "n" => {
+                    let stations: u32 = parse_num(k, v)?;
+                    if stations < 2 {
+                        return Err(in_token(token)(SpecError(format!(
+                            "a network needs at least two stations, got `{stations}`"
+                        ))));
+                    }
+                    n = Some(stations);
+                }
+                "dur" => {
+                    let secs: f64 = parse_num(k, v)?;
+                    if !(secs.is_finite() && secs > 0.0) {
+                        return Err(in_token(token)(SpecError(format!(
+                            "`dur` must be a positive finite number of seconds, got `{secs}`"
+                        ))));
+                    }
+                    dur = Some(secs);
+                }
                 "seed" => seed = Some(parse_num(k, v)?),
                 "m" => m = Some(parse_num(k, v)?),
                 "delta" => delta = Some(parse_num(k, v)?),
@@ -858,6 +874,14 @@ mod tests {
                 "mesh=rgg:4.5",
             ),
             ("n=8 dur=20 seed=1 m=4 delta=300 plan=0 bogus=7", "bogus=7"),
+            // Degenerate dimensions that used to parse and then panic the
+            // scenario constructor.
+            ("n=1 dur=20 seed=1 m=4 delta=300 plan=0", "n=1"),
+            ("n=0 dur=20 seed=1 m=4 delta=300 plan=0", "n=0"),
+            ("n=8 dur=0 seed=1 m=4 delta=300 plan=0", "dur=0"),
+            ("n=8 dur=-3 seed=1 m=4 delta=300 plan=0", "dur=-3"),
+            ("n=8 dur=inf seed=1 m=4 delta=300 plan=0", "dur=inf"),
+            ("n=8 dur=NaN seed=1 m=4 delta=300 plan=0", "dur=NaN"),
         ] {
             let SpecError(msg) = spec.parse::<FuzzCase>().unwrap_err();
             assert!(

@@ -37,8 +37,7 @@ use protocols::api::{AnchorRegistry, BeaconPayload, NodeId};
 use simcore::SimTime;
 use sstsp::engine::{Network, RunResult};
 use sstsp::instrument::{
-    BpView, DeliveryCtx, DeliveryFate, DeliveryObs, EngineHook, FaultAction, HookCaps,
-    WindowOutcome,
+    BpView, DeliveryCtx, DeliveryFate, DeliveryObs, EngineHook, FaultAction, WindowOutcome,
 };
 use sstsp::invariants::Violation;
 use sstsp::scenario::ScenarioConfig;
@@ -230,9 +229,7 @@ fn render_window(outcome: &WindowOutcome) -> String {
 /// The replay hook: the same fault execution + trace recording as a
 /// recording run ([`crate::run_case_traced`]), plus the window override
 /// seam that substitutes the recorded beacon schedule after cross-checking
-/// the live outcome against it. The hook is always active, so a replay
-/// takes the engine's instrumented slow path by construction — visible as
-/// `engine.path.slow` in the telemetry snapshot.
+/// the live outcome against it.
 struct ReplayHook<'a> {
     inner: TracedHarness,
     schedule: &'a RecordedSchedule,
@@ -240,15 +237,6 @@ struct ReplayHook<'a> {
 }
 
 impl EngineHook for ReplayHook<'_> {
-    // Not fast-path-safe: replay substitutes recorded window outcomes via
-    // `on_window`, a seam only the per-event slow path offers — and the
-    // divergence check needs the event-for-event trace it produces.
-    fn capabilities(&self) -> HookCaps {
-        HookCaps {
-            fastpath_safe: false,
-        }
-    }
-
     fn on_run_start(&mut self, scenario: &ScenarioConfig, anchors: &AnchorRegistry) {
         self.inner.on_run_start(scenario, anchors);
     }

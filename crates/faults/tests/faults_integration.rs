@@ -3,8 +3,9 @@
 //! fault runs replay deterministically from their one-line specs, and the
 //! network recovers where the paper says it should.
 
-use sstsp_faults::harness::run_case;
+use sstsp_faults::harness::{run_case, run_case_traced};
 use sstsp_faults::plan::{CorruptField, FaultEvent, FaultKind, FaultPlan, FuzzCase};
+use sstsp_telemetry::TraceEvent;
 
 fn case(seed: u64, events: Vec<FaultEvent>) -> FuzzCase {
     let mut case = FuzzCase::base(8, 20.0, 7);
@@ -123,6 +124,31 @@ fn disclosure_loss_is_absorbed_by_chain_recovery() {
 fn jam_and_chain_exhaustion_stay_clean() {
     let c = case(6, vec![ev(80, 120, FaultKind::Jam)]);
     assert_clean(&c);
+
+    // The fault-layer jam persists from its `SetJammed(true)` BP to its
+    // release: the engine must keep the channel jammed on every BP of the
+    // span, including the ones the scenario itself leaves quiet. Every
+    // span BP is disturbed and carries no transmission, and the jammed
+    // window count is pinned (32 of the 41 span BPs had a would-be sender;
+    // a quiet-BP skip that released the jam after its first BP counts 1).
+    let traced = run_case_traced(&c);
+    assert_eq!(traced.result.jammed_windows, 32, "jammed windows");
+    for bp in 80..=120 {
+        assert!(
+            traced
+                .events
+                .iter()
+                .any(|e| matches!(e, TraceEvent::BpEnd { bp: b, disturbed: true, .. } if *b == bp)),
+            "BP {bp} inside the jam span is not marked disturbed"
+        );
+        assert!(
+            !traced
+                .events
+                .iter()
+                .any(|e| matches!(e, TraceEvent::BeaconTx { bp: b, .. } if *b == bp)),
+            "a beacon went out at BP {bp} inside the jam span"
+        );
+    }
 
     // Chains sized for half the run: past exhaustion nothing is
     // authenticatable and nothing may be accepted (the checker's

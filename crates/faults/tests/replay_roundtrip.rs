@@ -73,6 +73,9 @@ fn bridged_mesh_replay_is_byte_identical_across_pool_sizes() {
 /// divergence.
 fn first_divergence(case: &FuzzCase, events: &[TraceEvent]) -> (u64, String) {
     let jsonl = to_replayable_jsonl(case, events).expect("mutated trace encodes");
+    // Sessions are exclusive: holding one keeps this replay's counters out
+    // of a concurrently running round-trip test's telemetry comparison.
+    let _session = sstsp_telemetry::recording();
     let report = replay_trace(&jsonl).expect("mutated trace still parses");
     assert!(
         !report.is_faithful(),

@@ -341,7 +341,7 @@ impl ProtocolConfig {
     }
 }
 
-/// A compact snapshot of the protocol state the engine's large-n fast path
+/// A compact snapshot of the protocol state the engine's beacon-period loop
 /// reads every beacon period.
 ///
 /// The engine keeps these in dense structure-of-arrays storage so the per-BP
@@ -474,7 +474,7 @@ pub trait SyncProtocol {
         None
     }
 
-    /// Snapshot the state the engine's fast path caches in dense arrays
+    /// Snapshot the state the engine caches in dense arrays
     /// (see [`HotState`]). The default is maximally conservative: no affine
     /// clock, no static intent — the engine then behaves exactly as it
     /// would without the cache. Protocols overriding this must keep every

@@ -1154,8 +1154,8 @@ impl SyncProtocol for SstspNode {
                         // candidacy is deterministic but needs the station
                         // id (not known here), and single-hop contention
                         // draws randomness — defer both to the real
-                        // `intent()` call. The mesh fast path takes this
-                        // `None` fallback for non-bridge contenders; the
+                        // `intent()` call. The engine takes this `None`
+                        // fallback for non-bridge contenders; the
                         // deferred call is deterministic (candidate slot
                         // from role + id), so bit-identity still holds.
                         match domain_role {

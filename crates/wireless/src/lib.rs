@@ -31,8 +31,6 @@ pub mod phy;
 pub mod topology;
 
 pub use channel::{Channel, Delivery, TxAttempt, WindowOutcome};
-pub use multihop::{
-    resolve_mesh, resolve_multihop, MeshResolver, MhAttempt, MhDelivery, MhOutcome,
-};
+pub use multihop::{resolve_multihop, MeshResolver, MhAttempt, MhDelivery, MhOutcome};
 pub use phy::{PhyParams, FRAME_OVERHEAD_SSTSP, FRAME_OVERHEAD_TSF};
 pub use topology::{DomainDecomposition, DomainOrder, Topology};

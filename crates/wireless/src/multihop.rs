@@ -152,101 +152,28 @@ fn deliveries_for_rx(
     }
 }
 
-/// Resolve one beacon window per collision domain.
+/// Allocation-free per-domain window resolver: the rules of
+/// [`resolve_multihop`], with the work bucketed by a collision-domain
+/// decomposition and every buffer reused across windows.
 ///
-/// Same decision rules as [`resolve_multihop`], but the work is bucketed
-/// by `decomp`: each decided transmission is published only into the
-/// domains that can hear it (the transmitter's own domain plus every
-/// domain holding one of its neighbors), the carrier-sense checks for a
-/// station consult only its home domain's bucket, and rule 3 runs per
-/// domain over that domain's members against its bucket. Because every
-/// predicate in [`resolve_multihop`] is gated on `are_neighbors`, and a
-/// station's home bucket contains every decided transmission of its
-/// neighbors (a neighbor `u` of `s` always publishes into
-/// `domain_of(s)`), the outcome is **bit-identical to
-/// [`resolve_multihop`] for any partition** — the decomposition only
-/// shrinks the candidate sets, never the audible ones. A differential
-/// proptest pins this.
-///
-/// # Panics
-/// Panics if `decomp` does not cover exactly `topology.len()` stations.
-pub fn resolve_mesh(
-    topology: &Topology,
-    decomp: &DomainDecomposition,
-    attempts: &[MhAttempt],
-    airtime_slots: u32,
-) -> MhOutcome {
-    assert!(airtime_slots > 0, "beacons occupy at least one slot");
-    assert_eq!(
-        decomp.domain_of.len(),
-        topology.len() as usize,
-        "decomposition does not match the topology"
-    );
-    let mut sorted: Vec<MhAttempt> = attempts.to_vec();
-    sorted.sort_by_key(|a| (a.slot, a.station));
-
-    // Global decision order (the output), plus the per-domain audible
-    // buckets the decisions and deliveries actually consult.
-    let mut txs: Vec<(u32, u32)> = Vec::new();
-    let mut by_domain: Vec<Vec<(u32, u32)>> = vec![Vec::new(); decomp.len()];
-    let mut doms_scratch: Vec<u32> = Vec::new();
-
-    for a in &sorted {
-        let home = &by_domain[decomp.domain_of(a.station) as usize];
-        let blocked = if a.relay {
-            home.iter().any(|&(u, s)| {
-                topology.are_neighbors(a.station, u) && s <= a.slot && a.slot < s + airtime_slots
-            })
-        } else {
-            home.iter()
-                .any(|&(u, s)| s < a.slot && topology.are_neighbors(a.station, u))
-        };
-        if blocked {
-            continue;
-        }
-        txs.push((a.station, a.slot));
-        doms_scratch.clear();
-        doms_scratch.push(decomp.domain_of(a.station));
-        doms_scratch.extend(
-            topology
-                .neighbors(a.station)
-                .iter()
-                .map(|&v| decomp.domain_of(v)),
-        );
-        doms_scratch.sort_unstable();
-        doms_scratch.dedup();
-        for &d in &doms_scratch {
-            by_domain[d as usize].push((a.station, a.slot));
-        }
-    }
-
-    let mut deliveries = Vec::new();
-    for (d, members) in decomp.domains.iter().enumerate() {
-        let local = &by_domain[d];
-        for &rx in members {
-            deliveries_for_rx(topology, rx, local, airtime_slots, &mut deliveries);
-        }
-    }
-    deliveries.sort_by_key(|d| (d.slot, d.rx));
-
-    MhOutcome {
-        transmissions: txs,
-        deliveries,
-    }
-}
-
-/// Allocation-free per-domain window resolver: [`resolve_mesh`] with every
-/// buffer reused across windows and the per-transmission audible-domain
-/// sets (home domain + neighbors' domains, sorted and deduped — invariant
-/// over a run) precomputed once. Decision rules, orders, and outputs are
-/// **bit-identical to [`resolve_mesh`]** — differential tests pin this —
-/// so the engine's fast path can call it every beacon period without
-/// perturbing goldens or allocating.
+/// Each decided transmission is published only into the domains that can
+/// hear it (the transmitter's own domain plus every domain holding one of
+/// its neighbors; these audible-domain sets are invariant over a run and
+/// precomputed once). The carrier-sense checks for a station consult only
+/// its home domain's bucket, and rule 3 runs per domain over that domain's
+/// members against its bucket. Because every predicate in
+/// [`resolve_multihop`] is gated on `are_neighbors`, and a station's home
+/// bucket holds every decided transmission of its neighbors, the outcome is
+/// **bit-identical to [`resolve_multihop`] for any partition** — the
+/// decomposition only shrinks the candidate sets, never the audible ones.
+/// Differential tests pin this for clique, per-node, one-domain and
+/// arbitrary partitions, so the engine can call it every beacon period on
+/// any topology without perturbing goldens or allocating.
 ///
 /// Deliveries are produced domain-by-domain over the contiguous ranges of
-/// a domain-major [`DomainOrder`] (members ascending within a domain,
-/// identical to the decomposition's member lists, so the output order
-/// matches [`resolve_mesh`] exactly).
+/// a domain-major [`DomainOrder`], bucketed by the rank of their slot among
+/// the window's distinct transmission slots, and merged into the
+/// reference's `(slot, rx)` order.
 pub struct MeshResolver {
     order: DomainOrder,
     /// Station id → home-domain index.
@@ -261,15 +188,17 @@ pub struct MeshResolver {
     /// station hears bucket transmission `i`. Rebuilt (cleared + scattered
     /// from each transmitter's adjacency list) per domain per window.
     hear: Vec<u64>,
-    /// Deliveries bucketed by slot during generation (grown lazily to the
-    /// highest slot seen, reused across windows). Concatenating the
-    /// buckets in slot order after a stable per-bucket sort by receiver
-    /// reproduces `resolve_mesh`'s stable `(slot, rx)` sort at a fraction
-    /// of the cost: each bucket is a concatenation of per-domain
-    /// receiver-ascending runs, which the adaptive stable sort merges in
-    /// near-linear time.
-    per_slot: Vec<Vec<MhDelivery>>,
-    /// Fallback staging for over-wide buckets (shares `per_slot` routing).
+    /// The window's distinct transmission slots, ascending.
+    slots: Vec<u32>,
+    /// Deliveries bucketed by the rank of their slot in `slots` (reused
+    /// across windows; ranks, unlike raw slot numbers, stay few even when
+    /// candidacy slots run into the thousands). Concatenating the buckets
+    /// in rank order after a stable per-bucket sort by receiver reproduces
+    /// the reference's stable `(slot, rx)` sort at a fraction of the cost:
+    /// each bucket is a concatenation of per-domain receiver-ascending
+    /// runs, which the adaptive stable sort merges in near-linear time.
+    per_rank: Vec<Vec<MhDelivery>>,
+    /// Staging for over-wide buckets before rank routing.
     spill: Vec<MhDelivery>,
     out: MhOutcome,
 }
@@ -306,7 +235,8 @@ impl MeshResolver {
             sorted: Vec::new(),
             by_domain: vec![Vec::new(); decomp.len()],
             hear: vec![0; topology.len() as usize],
-            per_slot: Vec::new(),
+            slots: Vec::new(),
+            per_rank: Vec::new(),
             spill: Vec::new(),
             out: MhOutcome {
                 transmissions: Vec::new(),
@@ -361,17 +291,19 @@ impl MeshResolver {
             }
         }
 
-        // Size the slot buckets to the widest slot decided this window.
-        let max_slot = self
-            .out
-            .transmissions
-            .iter()
-            .map(|&(_, s)| s)
-            .max()
-            .unwrap_or(0) as usize;
-        if self.per_slot.len() <= max_slot {
-            self.per_slot.resize_with(max_slot + 1, Vec::new);
+        // Transmissions were decided in slot order, so their distinct
+        // slots come out ascending.
+        self.slots.clear();
+        for &(_, s) in &self.out.transmissions {
+            if self.slots.last() != Some(&s) {
+                self.slots.push(s);
+            }
         }
+        if self.per_rank.len() < self.slots.len() {
+            self.per_rank.resize_with(self.slots.len(), Vec::new);
+        }
+        let slots = &self.slots;
+        let rank = |slot: u32| slots.binary_search(&slot).expect("decided slot");
 
         for d in 0..self.order.num_domains() {
             let bucket = &self.by_domain[d];
@@ -382,13 +314,13 @@ impl MeshResolver {
             if bucket.len() > 64 {
                 // Bucket too wide for the bitmask kernel (adversarial
                 // attempt storms); fall back to the exact per-member scan,
-                // routed through the same slot buckets.
+                // routed through the same rank buckets.
                 self.spill.clear();
                 for &rx in members {
                     deliveries_for_rx(topology, rx, bucket, airtime_slots, &mut self.spill);
                 }
                 for &del in &self.spill {
-                    self.per_slot[del.slot as usize].push(del);
+                    self.per_rank[rank(del.slot)].push(del);
                 }
                 continue;
             }
@@ -406,7 +338,9 @@ impl MeshResolver {
                 self.hear[rx as usize] = 0;
             }
             let mut garble = [0u64; 64];
+            let mut ranks = [0usize; 64];
             for (i, &(u, si)) in bucket.iter().enumerate() {
+                ranks[i] = rank(si);
                 let bit = 1u64 << i;
                 for &v in topology.neighbors(u) {
                     if self.home[v as usize] as usize == d {
@@ -442,15 +376,12 @@ impl MeshResolver {
                         }
                     }
                     if mask & garble[i] == 0 {
-                        self.per_slot[s as usize].push(MhDelivery { rx, tx, slot: s });
+                        self.per_rank[ranks[i]].push(MhDelivery { rx, tx, slot: s });
                     }
                 }
             }
         }
-        for bucket in self.per_slot.iter_mut() {
-            if bucket.is_empty() {
-                continue;
-            }
+        for bucket in &mut self.per_rank[..self.slots.len()] {
             bucket.sort_by_key(|d| d.rx);
             self.out.deliveries.extend_from_slice(bucket);
             bucket.clear();
@@ -626,6 +557,21 @@ mod tests {
         assert_eq!(resolve_multihop(&t, &a, A), resolve_multihop(&t, &b, A));
     }
 
+    /// One window through a fresh resolver bucketed by `d`.
+    fn mesh(t: &Topology, d: &DomainDecomposition, attempts: &[MhAttempt]) -> MhOutcome {
+        MeshResolver::new(t, d).resolve(t, attempts, A).clone()
+    }
+
+    /// The partitions the differential tests sweep: greedy cliques, one
+    /// domain per station, and a single domain.
+    fn partitions(t: &Topology) -> [DomainDecomposition; 3] {
+        [
+            t.clique_domains(),
+            DomainDecomposition::from_partition((0..t.len()).map(|i| vec![i]).collect(), t),
+            DomainDecomposition::from_partition(vec![(0..t.len()).collect()], t),
+        ]
+    }
+
     #[test]
     fn mesh_resolution_matches_global_on_bridged_graph() {
         let (t, d) = Topology::bridged(2, 3, 2);
@@ -637,17 +583,16 @@ mod tests {
             plain(11, 16),
         ];
         let global = resolve_multihop(&t, &attempts, A);
-        let mesh = resolve_mesh(&t, &d, &attempts, A);
-        assert_eq!(global, mesh);
+        assert_eq!(mesh(&t, &d, &attempts), global);
         // Both islands transmit in parallel: spatial reuse across domains.
         assert!(global.transmissions.contains(&(0, 0)));
         assert!(global.transmissions.contains(&(7, 0)));
     }
 
     #[test]
-    fn mesh_resolver_matches_resolve_mesh_across_reused_windows() {
+    fn mesh_resolver_matches_global_across_reused_windows() {
         // One resolver, many windows with different attempt mixes: every
-        // outcome must be bit-identical to a fresh resolve_mesh call
+        // outcome must be bit-identical to a fresh global resolution
         // (proving the scratch buffers fully reset between windows).
         let (t, d) = Topology::bridged(3, 3, 2);
         let mut r = MeshResolver::new(&t, &d);
@@ -673,28 +618,7 @@ mod tests {
         for attempts in windows {
             assert_eq!(
                 r.resolve(&t, attempts, A),
-                &resolve_mesh(&t, &d, attempts, A)
-            );
-        }
-    }
-
-    #[test]
-    fn mesh_resolver_matches_on_awkward_partitions() {
-        // Same partition-independence property resolve_mesh has.
-        let t = Topology::grid(3, 3);
-        let attempts = [plain(0, 0), plain(8, 0), relay(4, 9), plain(2, 3)];
-        for decomp in [
-            crate::topology::DomainDecomposition::from_partition(
-                (0..9).map(|i| vec![i]).collect(),
-                &t,
-            ),
-            crate::topology::DomainDecomposition::from_partition(vec![(0..9).collect()], &t),
-            t.clique_domains(),
-        ] {
-            let mut r = MeshResolver::new(&t, &decomp);
-            assert_eq!(
-                r.resolve(&t, &attempts, A),
-                &resolve_mesh(&t, &decomp, &attempts, A)
+                &resolve_multihop(&t, attempts, A)
             );
         }
     }
@@ -706,15 +630,38 @@ mod tests {
         let t = Topology::grid(3, 3);
         let attempts = [plain(0, 0), plain(8, 0), relay(4, 9), plain(2, 3)];
         let global = resolve_multihop(&t, &attempts, A);
-        let per_node = crate::topology::DomainDecomposition::from_partition(
-            (0..9).map(|i| vec![i]).collect(),
-            &t,
+        for d in partitions(&t) {
+            assert_eq!(mesh(&t, &d, &attempts), global);
+        }
+    }
+
+    #[test]
+    fn over_wide_buckets_take_the_exact_spill_path() {
+        // 70 simultaneous transmitters put more than 64 entries in a
+        // bucket, past the bitmask kernel's width, under every partition
+        // (each station's home bucket hears all of them). The relays after
+        // the slot-0 pile-up are decodable, so the spill path must also
+        // reproduce non-empty deliveries in the reference order.
+        let t = Topology::full(100);
+        let mut attempts: Vec<MhAttempt> = (0..70).map(|s| plain(s, 0)).collect();
+        attempts.extend([relay(80, A), relay(90, 2 * A), plain(95, 1)]);
+        let global = resolve_multihop(&t, &attempts, A);
+        assert_eq!(
+            global.transmissions.len(),
+            72,
+            "slot-0 pile-up plus two relays"
         );
-        let one_domain =
-            crate::topology::DomainDecomposition::from_partition(vec![(0..9).collect()], &t);
-        let cliques = t.clique_domains();
-        assert_eq!(resolve_mesh(&t, &per_node, &attempts, A), global);
-        assert_eq!(resolve_mesh(&t, &one_domain, &attempts, A), global);
-        assert_eq!(resolve_mesh(&t, &cliques, &attempts, A), global);
+        assert!(!global.deliveries.is_empty(), "the relays are decodable");
+        for d in partitions(&t) {
+            assert_eq!(mesh(&t, &d, &attempts), global);
+        }
+        // Reusing a resolver across a spill window and a kernel window
+        // leaves no residue in either direction.
+        let d = t.clique_domains();
+        let mut r = MeshResolver::new(&t, &d);
+        let narrow = [plain(3, 4), relay(7, 4 + A)];
+        for window in [&attempts[..], &narrow[..], &attempts[..]] {
+            assert_eq!(r.resolve(&t, window, A), &resolve_multihop(&t, window, A));
+        }
     }
 }

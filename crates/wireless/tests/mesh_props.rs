@@ -1,12 +1,12 @@
 //! Property tests for the mesh-topology layer: generator invariants,
 //! seeded reproducibility, domain-decomposition coverage, and the
-//! differential pin `resolve_mesh == resolve_multihop`.
+//! differential pin `MeshResolver == resolve_multihop` for any partition.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use wireless::{
-    resolve_mesh, resolve_multihop, DomainDecomposition, DomainOrder, MeshResolver, MhAttempt,
+    resolve_multihop, DomainDecomposition, DomainOrder, MeshResolver, MhAttempt, MhOutcome,
     Topology,
 };
 
@@ -19,6 +19,18 @@ fn assert_symmetric_irreflexive(t: &Topology) {
             prop_assert!(t.are_neighbors(j, i), "asymmetric edge {i}-{j}");
         }
     }
+}
+
+/// One window through a fresh [`MeshResolver`] bucketed by `d`.
+fn resolve_with(
+    t: &Topology,
+    d: &DomainDecomposition,
+    attempts: &[MhAttempt],
+    airtime: u32,
+) -> MhOutcome {
+    MeshResolver::new(t, d)
+        .resolve(t, attempts, airtime)
+        .clone()
 }
 
 /// Identical adjacency structure.
@@ -141,13 +153,16 @@ proptest! {
     }
 
     /// Differential pin: per-domain window resolution agrees with the
-    /// naive O(n²) global reference on randomized meshes (n ≤ 32), for
-    /// both the clique decomposition and a degenerate per-node partition.
+    /// naive O(n²) global reference on randomized meshes (n ≤ 32), for the
+    /// clique decomposition, the per-node partition the engine uses for
+    /// undecomposed topologies, a single domain, and an arbitrary
+    /// partition.
     #[test]
     fn mesh_resolution_matches_naive_reference(
         seed in any::<u64>(),
         n in 8u32..=32,
         raw in proptest::collection::vec((0u32..32, 0u32..31, any::<bool>()), 0..24),
+        assignment in proptest::collection::vec(0u32..5, 32..33),
     ) {
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         let t = Topology::random_disk(n, 100.0, 52.0, &mut rng);
@@ -161,11 +176,23 @@ proptest! {
 
         let airtime = 7;
         let reference = resolve_multihop(&t, &attempts, airtime);
-        let cliques = t.clique_domains();
-        prop_assert_eq!(resolve_mesh(&t, &cliques, &attempts, airtime), reference.clone());
-        let per_node =
-            DomainDecomposition::from_partition((0..n).map(|i| vec![i]).collect(), &t);
-        prop_assert_eq!(resolve_mesh(&t, &per_node, &attempts, airtime), reference);
+        let mut groups: Vec<Vec<u32>> = vec![Vec::new(); 5];
+        for i in 0..n {
+            groups[assignment[i as usize] as usize].push(i);
+        }
+        groups.retain(|g| !g.is_empty());
+        for (name, d) in [
+            ("cliques", t.clique_domains()),
+            (
+                "per-node",
+                DomainDecomposition::from_partition((0..n).map(|i| vec![i]).collect(), &t),
+            ),
+            ("one-domain", DomainDecomposition::from_partition(vec![(0..n).collect()], &t)),
+            ("arbitrary", DomainDecomposition::from_partition(groups, &t)),
+        ] {
+            let got = resolve_with(&t, &d, &attempts, airtime);
+            prop_assert!(got == reference, "{name} partition: {got:?} != {reference:?}");
+        }
     }
 
     /// The domain-major permutation round-trips node ids for arbitrary
@@ -209,11 +236,10 @@ proptest! {
         prop_assert_eq!(next, n);
     }
 
-    /// The reusable resolver is bit-identical to `resolve_mesh` on
-    /// randomized meshes and clique decompositions, including across
-    /// repeated windows through one resolver instance.
+    /// The reusable resolver stays bit-identical to the naive reference
+    /// across repeated windows through one resolver instance.
     #[test]
-    fn mesh_resolver_matches_resolve_mesh_on_random_meshes(
+    fn mesh_resolver_matches_reference_across_reused_windows(
         seed in any::<u64>(),
         n in 8u32..=32,
         raw in proptest::collection::vec((0u32..32, 0u32..31, any::<bool>()), 0..24),
@@ -235,12 +261,12 @@ proptest! {
         // must not see residue from the first.
         prop_assert_eq!(
             resolver.resolve(&t, &attempts, airtime),
-            &resolve_mesh(&t, &cliques, &attempts, airtime)
+            &resolve_multihop(&t, &attempts, airtime)
         );
         let half = &attempts[..attempts.len() / 2];
         prop_assert_eq!(
             resolver.resolve(&t, half, airtime),
-            &resolve_mesh(&t, &cliques, half, airtime)
+            &resolve_multihop(&t, half, airtime)
         );
     }
 
@@ -269,7 +295,7 @@ proptest! {
 
         let airtime = 7;
         prop_assert_eq!(
-            resolve_mesh(&t, &d, &attempts, airtime),
+            resolve_with(&t, &d, &attempts, airtime),
             resolve_multihop(&t, &attempts, airtime)
         );
     }

@@ -61,12 +61,6 @@ for threads in 1 2 8; do
     RAYON_NUM_THREADS=$threads cargo test -q --release -p sstsp --test thread_determinism
 done
 
-echo "==> fast-path equivalence at RAYON_NUM_THREADS=1,2,8 (SSTSP_NO_FASTPATH runs bit-identical)"
-for threads in 1 2 8; do
-    echo "    RAYON_NUM_THREADS=$threads"
-    RAYON_NUM_THREADS=$threads cargo test -q --release -p sstsp-faults --test fastpath_equivalence
-done
-
 echo "==> record/replay round trip (golden 2-domain bridged scenario, byte-identical)"
 SIM=target/release/sstsp-sim
 REPLAY_TMP=$(mktemp -d)
@@ -134,10 +128,21 @@ if [ "$rc" -ne 2 ]; then
     exit 1
 fi
 
-echo "==> CLI argument validation rejects malformed windows (exit non-zero)"
-# The --mesh cases pin value validation: degenerate specs (zero islands,
-# empty island grid, zero-area disk) used to parse and then panic the
-# topology generators; they must be parse errors naming the bad token.
+echo "==> CLI argument validation rejects malformed input (exit 2, never a panic)"
+# Every case must be a named usage error (exit 2): a panic exits 101, so
+# merely non-zero is not enough. The --mesh cases pin value validation:
+# degenerate specs (zero islands, empty island grid, zero-area disk) used
+# to parse and then panic the topology generators.
+expect_usage_error() {
+    set +e
+    "$SIM" "$@" >/dev/null 2>&1
+    local rc=$?
+    set -e
+    if [ "$rc" -ne 2 ]; then
+        echo "ERROR: 'sstsp-sim $*' exited $rc, want 2 (a named usage error)" >&2
+        exit 1
+    fi
+}
 for bad in "--jam 50,20" "--jam 20,20" "--attack 600,400,30" "--churn 0,0.5,10" \
     "--churn 10,1.5,10" "--duration -5" "--bogus-flag" \
     "--mesh bridged:0:3:2" "--mesh bridged:1:3:2" "--mesh bridged:2:0:2" \
@@ -146,18 +151,18 @@ for bad in "--jam 50,20" "--jam 20,20" "--attack 600,400,30" "--churn 0,0.5,10" 
     "--campaign coalition:1:30:2:20:40" "--campaign sybil:0:30:20:40" \
     "--campaign jamref:2:40:20" "--campaign coalition:2:nan:2:20:40" \
     "--campaign coalition:7:30:2:20:40" "--campaign warp:2:20:40"; do
-    set +e
     # shellcheck disable=SC2086
-    $SIM $bad --nodes 8 >/dev/null 2>&1
-    rc=$?
-    set -e
-    if [ "$rc" -eq 0 ]; then
-        echo "ERROR: 'sstsp-sim $bad' was accepted (exit 0)" >&2
-        exit 1
-    fi
+    expect_usage_error $bad --nodes 8
 done
+# Degenerate network dimensions used to panic the scenario constructor.
+# The --nodes cases come last on their command line, where no trailing
+# flag can override them.
+expect_usage_error --nodes 0
+expect_usage_error --nodes 1
+expect_usage_error trace "n=1 dur=12 seed=7 m=4 delta=300 plan=0"
+expect_usage_error trace "n=8 dur=0 seed=7 m=4 delta=300 plan=0"
 
-echo "==> large-n smoke (n=1000 run inside wall-clock budget, fast vs legacy path identical)"
+echo "==> large-n smoke (n=1000 and bridged-mesh runs inside wall-clock budget)"
 cargo run --release -q -p sstsp-bench --bin perf_baseline -- --smoke-large
 
 echo "==> work-stealing deque stress smoke (concurrent steal, exactly-once claims)"
@@ -180,6 +185,10 @@ if grep -rn --include='*.rs' -E '\b(println|eprintln)!' crates/*/src --exclude-d
     echo "ERROR: raw print in a library crate — route it through sstsp_telemetry::log" >&2
     exit 1
 fi
+
+echo "==> benchmark package (perfbench/, its own workspace): build + tests"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -99,9 +99,9 @@ fn run_trace(args: &[String]) -> ! {
         usage("trace needs a case spec, e.g. `trace \"n=12 dur=30 seed=7 m=4 delta=300 plan=3 burst@40..90:p=0.85\"`");
     }
     let spec = spec_parts.join(" ");
-    let case: FuzzCase = spec
-        .parse()
-        .unwrap_or_else(|e| usage(&format!("bad case spec: {e}")));
+    let case = spec
+        .parse::<FuzzCase>()
+        .unwrap_or_else(|e| usage(&e.to_string()));
 
     let guard = sstsp_telemetry::recording();
     let outcome = run_case_traced(&case);
@@ -363,6 +363,11 @@ fn main() {
     if !duration.is_finite() || duration <= 0.0 {
         usage(&format!(
             "--duration must be a finite positive number of seconds (got {duration})"
+        ));
+    }
+    if nodes < 2 {
+        usage(&format!(
+            "--nodes must be at least 2, a network needs two stations (got {nodes})"
         ));
     }
 
