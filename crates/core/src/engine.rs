@@ -191,6 +191,10 @@ struct BpCounters {
     rx_lost: u64,
     rx_hook_dropped: u64,
     rx_delivered: u64,
+    /// Present stations whose intent was served from [`NodeSoa`].
+    intent_cached: u64,
+    /// Present stations whose intent took the real `intent()` call.
+    intent_called: u64,
 }
 
 impl BpCounters {
@@ -208,6 +212,8 @@ impl BpCounters {
             ("engine.beacon.rx_lost", self.rx_lost),
             ("engine.beacon.rx_hook_dropped", self.rx_hook_dropped),
             ("engine.beacon.rx_delivered", self.rx_delivered),
+            ("engine.intent.cached", self.intent_cached),
+            ("engine.intent.called", self.intent_called),
         ]);
         *self = BpCounters::default();
     }
@@ -826,9 +832,11 @@ impl Network {
                                 "static intent consumed randomness for node {id}"
                             );
                         }
+                        bp_counters.intent_cached += 1;
                         si
                     }
                     None => {
+                        bp_counters.intent_called += 1;
                         let local = oscs[id as usize].local_us(t0);
                         let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
                         nodes[id as usize].intent(&mut ctx)

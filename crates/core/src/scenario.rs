@@ -197,10 +197,24 @@ pub struct ScenarioConfig {
 }
 
 impl ScenarioConfig {
+    /// Whether a scenario can run for `duration_s` seconds: the duration
+    /// is finite and positive, and the run's µTESLA interval count,
+    /// `ceil(duration / BP) + 64`, fits the `u32` interval index. At the
+    /// paper's 0.1 s BP that allows up to about 4.29·10⁸ s.
+    pub fn duration_fits(duration_s: f64) -> bool {
+        let bp_s = ProtocolConfig::paper().bp_us / 1e6;
+        duration_s.is_finite()
+            && duration_s > 0.0
+            && (duration_s / bp_s).ceil() + 64.0 <= f64::from(u32::MAX)
+    }
+
     /// A minimal scenario: no churn, no reference departures, no attacker.
     pub fn new(protocol: ProtocolKind, n_nodes: u32, duration_s: f64, seed: u64) -> Self {
         assert!(n_nodes >= 2, "a network needs at least two stations");
-        assert!(duration_s > 0.0);
+        assert!(
+            Self::duration_fits(duration_s),
+            "duration {duration_s} s is not positive, or its µTESLA interval count overflows u32"
+        );
         let mut pc = ProtocolConfig::paper();
         pc.total_intervals = (duration_s / (pc.bp_us / 1e6)).ceil() as usize + 64;
         ScenarioConfig {
@@ -343,5 +357,20 @@ mod tests {
     #[should_panic(expected = "two stations")]
     fn single_node_rejected() {
         let _ = ScenarioConfig::new(ProtocolKind::Tsf, 1, 1.0, 0);
+    }
+
+    #[test]
+    fn duration_must_fit_the_u32_interval_index() {
+        // ceil(dur / 0.1 s) + 64 <= u32::MAX puts the limit near 4.295e8 s.
+        assert!(ScenarioConfig::duration_fits(4.29e8));
+        for bad in [4.3e8, 1e12, 1e300, f64::INFINITY, f64::NAN, 0.0, -300.0] {
+            assert!(!ScenarioConfig::duration_fits(bad), "{bad} accepted");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u32")]
+    fn overlong_duration_rejected() {
+        let _ = ScenarioConfig::new(ProtocolKind::Sstsp, 4, 1e12, 0);
     }
 }

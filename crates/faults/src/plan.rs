@@ -608,16 +608,34 @@ impl FromStr for FuzzCase {
                 }
                 "dur" => {
                     let secs: f64 = parse_num(k, v)?;
-                    if !(secs.is_finite() && secs > 0.0) {
+                    if !ScenarioConfig::duration_fits(secs) {
                         return Err(in_token(token)(SpecError(format!(
-                            "`dur` must be a positive finite number of seconds, got `{secs}`"
+                            "`dur` must be a positive finite number of seconds whose \
+                             µTESLA interval count fits a u32, got `{v}`"
                         ))));
                     }
                     dur = Some(secs);
                 }
                 "seed" => seed = Some(parse_num(k, v)?),
-                "m" => m = Some(parse_num(k, v)?),
-                "delta" => delta = Some(parse_num(k, v)?),
+                "m" => {
+                    let aggressiveness: u32 = parse_num(k, v)?;
+                    if aggressiveness < 1 {
+                        return Err(in_token(token)(SpecError(
+                            "the aggressiveness `m` must be at least 1".into(),
+                        )));
+                    }
+                    m = Some(aggressiveness);
+                }
+                "delta" => {
+                    let guard: f64 = parse_num(k, v)?;
+                    if !(guard.is_finite() && guard > 0.0) {
+                        return Err(in_token(token)(SpecError(format!(
+                            "the guard time `delta` must be a positive finite number of µs, \
+                             got `{v}`"
+                        ))));
+                    }
+                    delta = Some(guard);
+                }
                 "plan" => plan_seed = Some(parse_num(k, v)?),
                 "mesh" => mesh = Some(v.parse::<MeshSpec>().map_err(in_token(token))?),
                 "campaign" => {
@@ -882,6 +900,17 @@ mod tests {
             ("n=8 dur=-3 seed=1 m=4 delta=300 plan=0", "dur=-3"),
             ("n=8 dur=inf seed=1 m=4 delta=300 plan=0", "dur=inf"),
             ("n=8 dur=NaN seed=1 m=4 delta=300 plan=0", "dur=NaN"),
+            // Values that parsed and then hung, aborted or silently
+            // disabled the protocol: a duration whose µTESLA interval
+            // count overflows u32, m < 1, and a non-finite or
+            // non-positive guard time.
+            ("n=8 dur=1e300 seed=1 m=4 delta=300 plan=0", "dur=1e300"),
+            ("n=8 dur=1e12 seed=1 m=4 delta=300 plan=0", "dur=1e12"),
+            ("n=8 dur=20 seed=1 m=0 delta=300 plan=0", "m=0"),
+            ("n=8 dur=20 seed=1 m=4 delta=nan plan=0", "delta=nan"),
+            ("n=8 dur=20 seed=1 m=4 delta=inf plan=0", "delta=inf"),
+            ("n=8 dur=20 seed=1 m=4 delta=0 plan=0", "delta=0"),
+            ("n=8 dur=20 seed=1 m=4 delta=-300 plan=0", "delta=-300"),
         ] {
             let SpecError(msg) = spec.parse::<FuzzCase>().unwrap_err();
             assert!(

@@ -371,6 +371,16 @@ pub struct HotState {
     /// predict its intents. Correctness requires: if `Some(i)`, the real
     /// `intent()` call would return exactly `i` *and* would not touch the
     /// node's RNG stream.
+    ///
+    /// SSTSP predicts every branch that draws nothing: absent and
+    /// coarse-phase stations, the reference's fixed slot, domain-mode
+    /// gateways and members, and election contenders whose ramped
+    /// contention probability has saturated at 1 (`Contend`; the engine
+    /// then draws the slot on the station's backoff stream, as for a real
+    /// `Contend`). It defers contenders still ramping below 1, multi-hop
+    /// relay participation outside domain mode, and domain-mode
+    /// candidacy, whose slot needs the station id. The engine counts the
+    /// two outcomes as `engine.intent.cached` and `engine.intent.called`.
     pub static_intent: Option<BeaconIntent>,
 }
 

@@ -285,6 +285,16 @@ impl SstspNode {
         }
     }
 
+    /// This BP's election contention probability outside domain mode:
+    /// `contend_prob` doubled every 10 eligible BPs (at most 64×), capped
+    /// at 1. At 1 the station contends without an RNG draw. `intent()` and
+    /// `hot_state` both read it here, so the cached intent cannot drift
+    /// from the real one.
+    fn contend_probability(&self, config: &ProtocolConfig) -> f64 {
+        let ramp = (self.eligible_bps / 10).min(6);
+        (config.contend_prob * f64::from(1u32 << ramp)).min(1.0)
+    }
+
     /// Whether per-domain election semantics apply to this node: the
     /// scenario enables them *and* a mesh role was distributed.
     fn domain_mode(&self, config: &ProtocolConfig) -> bool {
@@ -894,8 +904,7 @@ impl SyncProtocol for SstspNode {
                             // Election-eligible: contend with ramping
                             // probability (see ProtocolConfig::contend_prob
                             // for why not always).
-                            let ramp = (self.eligible_bps / 10).min(6);
-                            let p = (ctx.config.contend_prob * f64::from(1u32 << ramp)).min(1.0);
+                            let p = self.contend_probability(ctx.config);
                             if p >= 1.0 || ctx.rng.random_bool(p) {
                                 BeaconIntent::Contend
                             } else {
@@ -1118,10 +1127,11 @@ impl SyncProtocol for SstspNode {
 
     fn hot_state(&self, config: &ProtocolConfig) -> HotState {
         // Mirror of `intent()`, restricted to the branches that neither
-        // consume randomness nor read the clock. The two probabilistic
-        // branches (multi-hop relay participation, election contention)
-        // return `None` so the engine makes the real call and the RNG
-        // stream advances exactly as it always did.
+        // consume randomness nor read the clock. The probabilistic ones
+        // (multi-hop relay participation, and election contention while
+        // its probability ramps below 1) return `None` so the engine
+        // makes the real call and the RNG stream advances exactly as it
+        // always did.
         let static_intent = if !self.present {
             Some(BeaconIntent::Silent)
         } else {
@@ -1152,15 +1162,16 @@ impl SyncProtocol for SstspNode {
                     } else if election_contender {
                         // Domain-mode gateways never contend. Domain
                         // candidacy is deterministic but needs the station
-                        // id (not known here), and single-hop contention
-                        // draws randomness — defer both to the real
-                        // `intent()` call. The engine takes this `None`
-                        // fallback for non-bridge contenders; the
-                        // deferred call is deterministic (candidate slot
-                        // from role + id), so bit-identity still holds.
+                        // id (not known here), so it defers to the real
+                        // `intent()` call. Any other contender whose
+                        // probability has saturated contends without a
+                        // draw; one still ramping below 1 draws, and
+                        // defers too.
                         match domain_role {
                             Some(role) if role.is_bridge() => Some(BeaconIntent::Silent),
-                            _ => None,
+                            Some(_) => None,
+                            None => (self.contend_probability(config) >= 1.0)
+                                .then_some(BeaconIntent::Contend),
                         }
                     } else {
                         Some(BeaconIntent::Silent)

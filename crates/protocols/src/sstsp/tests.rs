@@ -103,9 +103,10 @@ impl Duo {
     }
 
     /// Make node 0 reference by letting it win an election at BP 1.
-    /// (Founding nodes become election-eligible after l+1 beaconless BPs.)
+    /// (Founding nodes become election-eligible after l+1 beaconless BPs,
+    /// l+9 in relay mode.)
     fn elect_node0(&mut self) {
-        for _ in 0..=self.config.l {
+        for _ in 0..=self.nodes[0].election_threshold(&self.config) {
             self.with_ctx(0, bp_time(0.5), |n, ctx| n.on_bp_end(ctx));
         }
         let t = bp_time(1.0);
@@ -649,5 +650,141 @@ mod guard_lock_props {
             // Re-lock goes through exactly one coarse completion.
             prop_assert_eq!(duo.nodes[1].stats.coarse_syncs, 1);
         }
+    }
+}
+
+/// The [`HotState::static_intent`] contract at protocol level: whenever a
+/// station's BP-start snapshot reports `Some(i)`, the real `intent()` call
+/// returns `i` and leaves the station's RNG stream where it was. The
+/// engine's debug builds check the same at every BP of every run; these
+/// tests pin it without the engine.
+mod static_intent_contract {
+    use super::*;
+    use crate::api::HotState;
+    use proptest::prelude::*;
+    use rand::Rng;
+
+    /// Check the contract for station `who` at BP start `t`, then return
+    /// the real call's intent.
+    fn checked_intent(duo: &mut Duo, who: usize, t: SimTime) -> BeaconIntent {
+        let HotState { static_intent, .. } = duo.nodes[who].hot_state(&duo.config);
+        let pos = duo.rngs[who].stream_pos();
+        let real = duo.with_ctx(who, t, |n, ctx| n.intent(ctx));
+        if let Some(served) = static_intent {
+            assert_eq!(real, served, "served intent diverged from the real call");
+            assert_eq!(
+                duo.rngs[who].stream_pos(),
+                pos,
+                "served intent drew randomness"
+            );
+        }
+        real
+    }
+
+    /// Live one random life for station 1 beside a standing reference
+    /// (node 0), checking the contract at every BP start. `spells` are
+    /// `(BPs, reference heard)` runs. Each BP the station may leave
+    /// (2 %) or, when away, rejoin (20 %); a non-silent intent puts it on
+    /// the air, collided with probability `collide_pct` %, and a clean
+    /// transmission holds the window so the reference is not heard.
+    fn live(relay: bool, seed: u64, collide_pct: u32, spells: &[(u32, bool)]) {
+        let mut config = ProtocolConfig::paper();
+        config.multihop_relay = relay;
+        let mut duo = Duo::new(config, 1.000_2, 150.0);
+        duo.elect_node0();
+        // The paper's contention ramp from here on.
+        duo.config = duo.config.with_contend_prob(0.05);
+        let mut script = ChaCha12Rng::seed_from_u64(seed);
+        let mut present = true;
+        let mut k = 1u64;
+        for &(len, heard) in spells {
+            for _ in 0..len {
+                k += 1;
+                let t0 = bp_time(k as f64);
+                let t_rx = t0 + SimDuration::from_us_f64(duo.config.t_p_us);
+                let roll = script.random_range(0..100u32);
+                if present && roll < 2 {
+                    duo.with_ctx(1, t0, |n, ctx| n.on_leave(ctx));
+                    present = false;
+                } else if !present && roll < 20 {
+                    duo.with_ctx(1, t0, |n, ctx| n.on_join(ctx));
+                    present = true;
+                }
+                let intent = checked_intent(&mut duo, 1, t0);
+                let mut held_window = false;
+                if present && intent != BeaconIntent::Silent {
+                    let collided = script.random_range(0..100u32) < collide_pct;
+                    if !collided {
+                        duo.with_ctx(1, t0, |n, ctx| {
+                            let _ = n.make_beacon(ctx);
+                        });
+                        held_window = true;
+                    }
+                    duo.with_ctx(1, t0, |n, ctx| n.on_tx_outcome(ctx, collided));
+                }
+                let beacon = duo.with_ctx(0, t0, |n, ctx| n.make_beacon(ctx));
+                duo.with_ctx(0, t0, |n, ctx| n.on_tx_outcome(ctx, false));
+                if present && heard && !held_window {
+                    let local_rx = duo.local(1, t_rx);
+                    duo.with_ctx(1, t_rx, |n, ctx| {
+                        n.on_beacon(
+                            ctx,
+                            ReceivedBeacon {
+                                payload: beacon,
+                                local_rx_us: local_rx,
+                            },
+                        )
+                    });
+                }
+                duo.with_ctx(0, t_rx, |n, ctx| n.on_bp_end(ctx));
+                if present {
+                    duo.with_ctx(1, t_rx, |n, ctx| n.on_bp_end(ctx));
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Random lives, single-hop and in relay mode: silent spells long
+        /// enough to saturate the contention ramp, collided and clean
+        /// transmissions, reference beacons heard and missed, leave and
+        /// rejoin.
+        #[test]
+        fn served_intents_match_the_real_call(
+            relay in any::<bool>(),
+            seed in any::<u64>(),
+            collide_pct in prop_oneof![Just(100u32), 0u32..100],
+            spells in proptest::collection::vec((1u32..90, any::<bool>()), 2..7),
+        ) {
+            live(relay, seed, collide_pct, &spells);
+        }
+    }
+
+    /// Contention ramps from `contend_prob` = 0.05, doubling every 10
+    /// eligible BPs: below 1 the real call draws, so the snapshot defers
+    /// (`None`); from the 50th eligible BP on it is saturated, and the
+    /// snapshot serves `Contend` without a draw.
+    #[test]
+    fn saturated_contender_is_served_and_a_ramping_one_defers() {
+        let mut duo = Duo::new(ProtocolConfig::paper(), 1.0, 0.0);
+        duo.config = duo.config.with_contend_prob(0.05);
+        let t = bp_time(1.0);
+        let static_intent = |duo: &Duo| duo.nodes[0].hot_state(&duo.config).static_intent;
+        // Not yet eligible: silent, served.
+        assert_eq!(static_intent(&duo), Some(BeaconIntent::Silent));
+        // Eligible once l+1 BPs pass without a reference.
+        for _ in 0..=duo.config.l {
+            duo.with_ctx(0, t, |n, ctx| n.on_bp_end(ctx));
+        }
+        assert_eq!(duo.nodes[0].eligible_bps, 1);
+        while duo.nodes[0].eligible_bps < 50 {
+            assert!(duo.nodes[0].contend_probability(&duo.config) < 1.0);
+            assert_eq!(static_intent(&duo), None, "a ramping contender draws");
+            duo.with_ctx(0, t, |n, ctx| n.on_bp_end(ctx));
+        }
+        assert_eq!(static_intent(&duo), Some(BeaconIntent::Contend));
+        assert_eq!(checked_intent(&mut duo, 0, t), BeaconIntent::Contend);
     }
 }

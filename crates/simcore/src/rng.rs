@@ -204,6 +204,49 @@ mod tests {
     }
 
     #[test]
+    fn keystream_words_are_pinned() {
+        // Every golden in the workspace sits on these bytes: words 0, 1
+        // and 8 (the first word of the second ChaCha12 block) of three
+        // derived streams. They must not move whichever ChaCha block
+        // function the CPU selects.
+        let f = RngStreams::new(2006);
+        let cases = [
+            (
+                StreamDomain::MacBackoff,
+                0,
+                [
+                    0xacf1_b7f6_ec5d_6572,
+                    0xe393_832d_89e4_4db2,
+                    0x9e16_8b53_65fb_cde6,
+                ],
+            ),
+            (
+                StreamDomain::Protocol,
+                4999,
+                [
+                    0xb2db_7c6a_e3b3_3ffd,
+                    0x6dc8_1b10_edf2_11a4,
+                    0x1872_0621_dca3_d1f0,
+                ],
+            ),
+            (
+                StreamDomain::ChannelError,
+                0,
+                [
+                    0x5b9d_42f1_55e7_eec5,
+                    0x6803_fde3_fe43_08e0,
+                    0x07fb_3ea8_e9be_ebe7,
+                ],
+            ),
+        ];
+        for (domain, index, want) in cases {
+            let mut rng = f.stream(domain, index);
+            let words: Vec<u64> = (0..9).map(|_| rng.next_u64()).collect();
+            assert_eq!([words[0], words[1], words[8]], want, "{domain:?} {index}");
+        }
+    }
+
+    #[test]
     fn stream_draw_order_independence() {
         // Drawing from one stream must not affect another.
         let f = RngStreams::new(99);

@@ -132,10 +132,12 @@ echo "==> CLI argument validation rejects malformed input (exit 2, never a panic
 # Every case must be a named usage error (exit 2): a panic exits 101, so
 # merely non-zero is not enough. The --mesh cases pin value validation:
 # degenerate specs (zero islands, empty island grid, zero-area disk) used
-# to parse and then panic the topology generators.
+# to parse and then panic the topology generators. Each case runs under
+# `timeout 60` (exit 124), so an input that hangs the simulator fails the
+# gate instead of blocking it.
 expect_usage_error() {
     set +e
-    "$SIM" "$@" >/dev/null 2>&1
+    timeout 60 "$SIM" "$@" >/dev/null 2>&1
     local rc=$?
     set -e
     if [ "$rc" -ne 2 ]; then
@@ -150,7 +152,9 @@ for bad in "--jam 50,20" "--jam 20,20" "--attack 600,400,30" "--churn 0,0.5,10" 
     "--mesh rgg:100:0" "--mesh rgg:inf:1" "--mesh hex" \
     "--campaign coalition:1:30:2:20:40" "--campaign sybil:0:30:20:40" \
     "--campaign jamref:2:40:20" "--campaign coalition:2:nan:2:20:40" \
-    "--campaign coalition:7:30:2:20:40" "--campaign warp:2:20:40"; do
+    "--campaign coalition:7:30:2:20:40" "--campaign warp:2:20:40" \
+    "--guard nan" "--guard 0" "--guard -300" "--m 0" \
+    "--duration 1e300" "--duration 1e12"; do
     # shellcheck disable=SC2086
     expect_usage_error $bad --nodes 8
 done
@@ -161,6 +165,11 @@ expect_usage_error --nodes 0
 expect_usage_error --nodes 1
 expect_usage_error trace "n=1 dur=12 seed=7 m=4 delta=300 plan=0"
 expect_usage_error trace "n=8 dur=0 seed=7 m=4 delta=300 plan=0"
+# A duration whose µTESLA interval count overflows u32 used to hang or
+# abort; δ = NaN and m = 0 used to run with the protocol silently disabled.
+expect_usage_error trace "n=8 dur=1e300 seed=7 m=4 delta=300 plan=0"
+expect_usage_error trace "n=8 dur=20 seed=7 m=4 delta=nan plan=0"
+expect_usage_error trace "n=8 dur=20 seed=7 m=0 delta=300 plan=0"
 
 echo "==> large-n smoke (n=1000 and bridged-mesh runs inside wall-clock budget)"
 cargo run --release -q -p sstsp-bench --bin perf_baseline -- --smoke-large

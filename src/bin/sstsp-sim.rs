@@ -290,11 +290,36 @@ fn main() {
                 }
             }
             "--nodes" => nodes = val().parse().unwrap_or_else(|_| usage("bad --nodes")),
-            "--duration" => duration = val().parse().unwrap_or_else(|_| usage("bad --duration")),
+            "--duration" => {
+                let v = val();
+                duration = v.parse().unwrap_or_else(|_| usage("bad --duration"));
+                if !ScenarioConfig::duration_fits(duration) {
+                    usage(&format!(
+                        "--duration {v}: must be a finite positive number of seconds \
+                         whose µTESLA interval count fits a u32 (at most ~4.29e8 s)"
+                    ));
+                }
+            }
             "--seed" => seed = val().parse().unwrap_or_else(|_| usage("bad --seed")),
-            "--m" => m = Some(val().parse().unwrap_or_else(|_| usage("bad --m"))),
+            "--m" => {
+                let v = val();
+                let parsed: u32 = v.parse().unwrap_or_else(|_| usage("bad --m"));
+                if parsed < 1 {
+                    usage(&format!("--m {v}: the aggressiveness m must be at least 1"));
+                }
+                m = Some(parsed);
+            }
             "--l" => l = Some(val().parse().unwrap_or_else(|_| usage("bad --l"))),
-            "--guard" => guard = Some(val().parse().unwrap_or_else(|_| usage("bad --guard"))),
+            "--guard" => {
+                let v = val();
+                let parsed: f64 = v.parse().unwrap_or_else(|_| usage("bad --guard"));
+                if !(parsed.is_finite() && parsed > 0.0) {
+                    usage(&format!(
+                        "--guard {v}: the guard time δ must be a finite positive number of µs"
+                    ));
+                }
+                guard = Some(parsed);
+            }
             "--per" => per = Some(val().parse().unwrap_or_else(|_| usage("bad --per"))),
             "--churn" => {
                 let v = parse_list(&val(), 3, "--churn");
@@ -360,11 +385,6 @@ fn main() {
         }
     }
 
-    if !duration.is_finite() || duration <= 0.0 {
-        usage(&format!(
-            "--duration must be a finite positive number of seconds (got {duration})"
-        ));
-    }
     if nodes < 2 {
         usage(&format!(
             "--nodes must be at least 2, a network needs two stations (got {nodes})"

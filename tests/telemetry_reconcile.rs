@@ -85,6 +85,18 @@ fn counters_trace_and_run_result_reconcile() {
         .count() as u64;
     assert_eq!(hook_drops, snap.counter("engine.beacon.rx_hook_dropped"));
 
+    // Every present station's intent is served exactly once per BP: from
+    // the SoA cache or by the real call. The plan has no churn, so every
+    // station is present in every BP.
+    let cached = snap.counter("engine.intent.cached");
+    let called = snap.counter("engine.intent.called");
+    assert_eq!(
+        cached + called,
+        u64::from(case.scenario().n_nodes) * case.scenario().total_bps(),
+        "intents must partition into cached + called"
+    );
+    assert!(cached > 0 && called > 0, "cached {cached}, called {called}");
+
     // Simulator-level telemetry is present and sane.
     assert!(snap.gauge("engine.queue.peak_pending").unwrap_or(0) >= 1);
     assert!(snap.counter("engine.rng.chan_draws") > 0);
