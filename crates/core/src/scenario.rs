@@ -9,6 +9,7 @@
 use clocks::DriftModel;
 use protocols::api::ProtocolConfig;
 use serde::{Deserialize, Serialize};
+use wireless::Topology;
 
 pub use attacks::campaign::{CampaignKind, CampaignSpec};
 
@@ -136,15 +137,40 @@ pub enum TopologySpec {
 
 impl TopologySpec {
     /// The station count this spec requires, when it determines one.
+    ///
+    /// # Panics
+    /// Panics if that count overflows `u32`; parsers reject such specs
+    /// through [`TopologySpec::fits`].
     pub fn required_nodes(&self) -> Option<u32> {
+        self.checked_required_nodes()
+            .expect("topology station count overflows u32")
+    }
+
+    /// Whether the station count this spec requires, if any, fits a `u32`.
+    pub fn fits(&self) -> bool {
+        self.checked_required_nodes().is_some()
+    }
+
+    /// The stations a campaign may compromise on a bridged mesh: its
+    /// `domains·cols·rows` island stations, gateways excluded. `None` for
+    /// other topologies.
+    pub fn island_nodes(&self) -> Option<u32> {
         match *self {
-            TopologySpec::Grid { cols, rows } => Some(cols * rows),
+            TopologySpec::Bridged { domains, .. } => Some(self.required_nodes()? - (domains - 1)),
+            _ => None,
+        }
+    }
+
+    /// [`required_nodes`](Self::required_nodes), or `None` on overflow.
+    fn checked_required_nodes(&self) -> Option<Option<u32>> {
+        match *self {
+            TopologySpec::Grid { cols, rows } => cols.checked_mul(rows).map(Some),
             TopologySpec::Bridged {
                 domains,
                 cols,
                 rows,
-            } => Some(domains * cols * rows + domains - 1),
-            _ => None,
+            } => Topology::bridged_len(domains, cols, rows).map(Some),
+            _ => Some(None),
         }
     }
 }
@@ -285,14 +311,10 @@ impl ScenarioConfig {
     /// the whole id space otherwise.
     pub fn campaign_member_ids(&self) -> std::ops::Range<u32> {
         let Some(c) = &self.campaign else { return 0..0 };
-        let top = match self.topology {
-            Some(TopologySpec::Bridged {
-                domains,
-                cols,
-                rows,
-            }) => domains * cols * rows,
-            _ => self.n_nodes,
-        };
+        let top = self
+            .topology
+            .and_then(|t| t.island_nodes())
+            .unwrap_or(self.n_nodes);
         assert!(
             c.attackers < top && c.attackers <= self.n_nodes - 2,
             "campaign must leave honest island stations ({} attackers, {} stations)",
@@ -372,5 +394,46 @@ mod tests {
     #[should_panic(expected = "overflows u32")]
     fn overlong_duration_rejected() {
         let _ = ScenarioConfig::new(ProtocolKind::Sstsp, 4, 1e12, 0);
+    }
+
+    fn bridged(domains: u32, cols: u32, rows: u32) -> TopologySpec {
+        TopologySpec::Bridged {
+            domains,
+            cols,
+            rows,
+        }
+    }
+
+    #[test]
+    fn topology_station_counts_are_checked() {
+        let mesh = bridged(4, 25, 10);
+        assert!(mesh.fits());
+        assert_eq!(mesh.required_nodes(), Some(1003));
+        assert_eq!(mesh.island_nodes(), Some(1000));
+        assert_eq!(TopologySpec::Ring.required_nodes(), None);
+        assert_eq!(TopologySpec::Ring.island_nodes(), None);
+        let grid = TopologySpec::Grid { cols: 4, rows: 3 };
+        assert_eq!(
+            (grid.required_nodes(), grid.island_nodes()),
+            (Some(12), None)
+        );
+        // These used to wrap: cols·rows to 0, and the gateway term past
+        // u32::MAX.
+        for wraps in [
+            bridged(2, 65536, 65536),
+            bridged(u32::MAX, 1, 1),
+            TopologySpec::Grid {
+                cols: 65536,
+                rows: 65536,
+            },
+        ] {
+            assert!(!wraps.fits(), "{wraps:?} fits");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u32")]
+    fn overflowing_topology_count_rejected() {
+        let _ = bridged(u32::MAX, 1, 1).required_nodes();
     }
 }

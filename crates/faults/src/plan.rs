@@ -277,6 +277,12 @@ impl FromStr for MeshSpec {
                 if rows == 0 {
                     return Err(SpecError("bridged `rows` must be at least 1".into()));
                 }
+                if !mesh.topology().fits() {
+                    return Err(SpecError(format!(
+                        "bridged mesh `{s}` needs more than u32::MAX stations \
+                         (domains·cols·rows + domains − 1)"
+                    )));
+                }
             }
             MeshSpec::Line | MeshSpec::Ring => {}
         }
@@ -327,17 +333,11 @@ impl FuzzCase {
     /// (gateways stay honest), the tail of the id space otherwise. The
     /// second value is the effective total station count.
     pub(crate) fn campaign_capacity(&self) -> (u32, u32) {
-        match self.mesh {
-            Some(MeshSpec::Bridged {
-                domains,
-                cols,
-                rows,
-            }) => {
-                let island = domains * cols * rows;
-                (island, island + domains - 1)
-            }
-            _ => (self.n, self.n),
-        }
+        let Some(topo) = self.mesh.map(MeshSpec::topology) else {
+            return (self.n, self.n);
+        };
+        let total = topo.required_nodes().unwrap_or(self.n);
+        (topo.island_nodes().unwrap_or(total), total)
     }
 
     /// Number of beacon periods this case simulates.
@@ -662,9 +662,16 @@ impl FromStr for FuzzCase {
                 events,
             },
         };
-        // Cross-dimension validation: a campaign that parses on its own but
-        // compromises too many of this case's stations must be a named-token
-        // parse error, not an engine assertion later.
+        // Cross-dimension validation: a ring too small to close, or a
+        // campaign that parses on its own but compromises too many of this
+        // case's stations, must be a named-token parse error, not an engine
+        // assertion later.
+        if case.mesh == Some(MeshSpec::Ring) && case.n < 3 {
+            return Err(SpecError(format!(
+                "`mesh=ring` needs at least 3 stations, got `n={}`",
+                case.n
+            )));
+        }
         if let Some(c) = case.campaign {
             let (island, n_eff) = case.campaign_capacity();
             if c.attackers >= island || c.attackers + 2 > n_eff {
@@ -862,6 +869,8 @@ mod tests {
             ("rgg:inf:1", "side"),
             ("rgg:100:0", "range"),
             ("rgg:100:NaN", "range"),
+            ("bridged:2:65536:65536", "bridged:2:65536:65536"),
+            ("bridged:4294967295:1:1", "bridged:4294967295:1:1"),
         ] {
             let SpecError(msg) = bad.parse::<MeshSpec>().unwrap_err();
             assert!(
@@ -869,8 +878,8 @@ mod tests {
                 "error for `{bad}` does not name `{token}`: {msg}"
             );
         }
-        // The smallest legal shapes still parse.
-        for ok in ["bridged:2:1:1", "rgg:0.5:0.5"] {
+        // The smallest legal shapes and the largest count still parse.
+        for ok in ["bridged:2:1:1", "rgg:0.5:0.5", "bridged:2:2147483647:1"] {
             ok.parse::<MeshSpec>()
                 .unwrap_or_else(|e| panic!("rejected `{ok}`: {e:?}"));
         }
@@ -911,6 +920,21 @@ mod tests {
             ("n=8 dur=20 seed=1 m=4 delta=inf plan=0", "delta=inf"),
             ("n=8 dur=20 seed=1 m=4 delta=0 plan=0", "delta=0"),
             ("n=8 dur=20 seed=1 m=4 delta=-300 plan=0", "delta=-300"),
+            // Bridged meshes whose station count overflows u32 (`cols·rows`
+            // wraps to 0, or the gateway term wraps the total) panicked,
+            // hung or aborted; a ring under 3 stations panicked.
+            (
+                "n=8 dur=20 seed=1 m=4 delta=300 plan=0 mesh=bridged:2:65536:65536",
+                "mesh=bridged:2:65536:65536",
+            ),
+            (
+                "n=8 dur=20 seed=1 m=4 delta=300 plan=0 mesh=bridged:4294967295:1:1",
+                "mesh=bridged:4294967295:1:1",
+            ),
+            (
+                "n=2 dur=5 seed=7 m=4 delta=300 plan=0 mesh=ring",
+                "mesh=ring",
+            ),
         ] {
             let SpecError(msg) = spec.parse::<FuzzCase>().unwrap_err();
             assert!(

@@ -125,6 +125,11 @@ fn fuzz_case() -> BoxedStrategy<FuzzCase> {
                         events,
                     },
                 };
+                // A ring closes only from 3 stations on; the parser
+                // rejects smaller ones.
+                if case.mesh == Some(MeshSpec::Ring) {
+                    case.n = case.n.max(3);
+                }
                 if let Some((kind, raw_attackers, start_s, end_s)) = campaign {
                     // Clamp the coalition into the case's station budget;
                     // cases too small for a valid coalition stay honest.

@@ -214,17 +214,22 @@ impl MeshResolver {
             topology.len() as usize,
             "decomposition does not match the topology"
         );
+        // Each station lists its home domain, then every neighbor domain
+        // on first sight: `listed[d]` holds the last station that listed
+        // `d`. A list's order is irrelevant, since each of its entries
+        // names a different bucket.
         let mut audible = Vec::new();
         let mut audible_ranges = Vec::with_capacity(topology.len() as usize);
-        let mut doms: Vec<u32> = Vec::new();
+        let mut listed = vec![u32::MAX; decomp.len()];
         for s in 0..topology.len() {
-            doms.clear();
-            doms.push(decomp.domain_of(s));
-            doms.extend(topology.neighbors(s).iter().map(|&v| decomp.domain_of(v)));
-            doms.sort_unstable();
-            doms.dedup();
             let start = audible.len() as u32;
-            audible.extend_from_slice(&doms);
+            let heard = topology.neighbors(s).iter().map(|&v| decomp.domain_of(v));
+            for d in std::iter::once(decomp.domain_of(s)).chain(heard) {
+                if listed[d as usize] != s {
+                    listed[d as usize] = s;
+                    audible.push(d);
+                }
+            }
             audible_ranges.push((start, audible.len() as u32));
         }
         MeshResolver {

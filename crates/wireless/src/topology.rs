@@ -148,32 +148,38 @@ impl Topology {
     /// [`DomainDecomposition`] (bridge `j` is assigned to domain `j`).
     ///
     /// # Panics
-    /// Panics unless `domains ≥ 2` and each island has at least one
-    /// station.
+    /// Panics unless `domains ≥ 2`, each island has at least one station,
+    /// and the station count fits a `u32` (see [`Topology::bridged_len`]).
     pub fn bridged(domains: u32, cols: u32, rows: u32) -> (Self, DomainDecomposition) {
         assert!(domains >= 2, "a bridged mesh needs at least two domains");
+        assert!(
+            cols >= 1 && rows >= 1,
+            "each island needs at least one station"
+        );
+        let n = Self::bridged_len(domains, cols, rows)
+            .expect("bridged mesh station count overflows u32");
         let island = cols * rows;
-        assert!(island >= 1, "each island needs at least one station");
-        let n = domains * island + (domains - 1);
-        let mut edges = Vec::new();
+        let bridge_base = domains * island;
+        // Neighbor lists straight from the construction, sorted and at
+        // exact capacity: an island member hears its island mates, then
+        // its one or two gateways (every gateway id follows every island
+        // id); gateway `j` hears islands `j` and `j + 1`, one id range.
+        let mut adj: Vec<Vec<u32>> = Vec::with_capacity(n as usize);
         for k in 0..domains {
             let base = k * island;
-            for i in 0..island {
-                for j in (i + 1)..island {
-                    edges.push((base + i, base + j));
-                }
+            let gateways = k.saturating_sub(1)..=k.min(domains - 2);
+            let degree = (island - 1) as usize + gateways.clone().count();
+            for i in base..base + island {
+                let mut list = Vec::with_capacity(degree);
+                list.extend((base..i).chain(i + 1..base + island));
+                list.extend(gateways.clone().map(|j| bridge_base + j));
+                adj.push(list);
             }
         }
-        let bridge_base = domains * island;
         for j in 0..domains - 1 {
-            let b = bridge_base + j;
-            for k in [j, j + 1] {
-                for i in k * island..(k + 1) * island {
-                    edges.push((b, i));
-                }
-            }
+            adj.push((j * island..(j + 2) * island).collect());
         }
-        let topo = Self::from_edges(n, &edges);
+        let topo = Topology { n, adj };
         let mut members: Vec<Vec<u32>> = (0..domains)
             .map(|k| (k * island..(k + 1) * island).collect())
             .collect();
@@ -182,6 +188,16 @@ impl Topology {
         }
         let decomp = DomainDecomposition::from_partition(members, &topo);
         (topo, decomp)
+    }
+
+    /// Station count of [`Topology::bridged`]`(domains, cols, rows)`:
+    /// `domains·cols·rows` island stations plus `domains − 1` gateways, or
+    /// `None` if it overflows `u32`.
+    pub fn bridged_len(domains: u32, cols: u32, rows: u32) -> Option<u32> {
+        domains
+            .checked_mul(cols)?
+            .checked_mul(rows)?
+            .checked_add(domains.saturating_sub(1))
     }
 
     /// Greedy maximal-clique collision-domain partition.
@@ -311,6 +327,17 @@ impl DomainDecomposition {
     /// Build from an explicit partition, deriving the reverse map and the
     /// bridge set from `topology`.
     ///
+    /// A station *dominates* a domain when it is adjacent to every
+    /// non-bridge member of that domain other than itself, and it is a
+    /// bridge when it dominates at least two. The rule is monotone (a new
+    /// bridge only removes coverage requirements), so the bridge set is its
+    /// least fixpoint, and any scan order reaches the same one. Stations
+    /// are checked round-robin until a full round adds no bridge. A round
+    /// costs O(n + edges) time: one walk over each candidate's sorted
+    /// neighbor list counts its non-bridge neighbors per domain, and the
+    /// candidate dominates a domain when that count equals the domain's
+    /// non-bridge members other than itself. Scratch is O(n + domains).
+    ///
     /// # Panics
     /// Panics if `domains` is not a partition of `0..topology.len()` (a
     /// station missing, repeated, or out of range) or any domain is empty.
@@ -337,31 +364,57 @@ impl DomainDecomposition {
         for members in &mut domains {
             members.sort_unstable();
         }
-        // Monotone fixpoint: marking a station as a bridge only relaxes the
-        // coverage requirement for others, so iterate until stable (≤ n
-        // passes).
         let mut is_bridge = vec![false; n];
-        loop {
-            let mut changed = false;
-            for i in 0..topology.len() {
-                if is_bridge[i as usize] {
+        // Non-bridge members per domain, and the number of domains left
+        // with none (every station dominates those).
+        let mut live: Vec<u32> = domains.iter().map(|m| m.len() as u32).collect();
+        let mut dead = 0usize;
+        // The candidate's non-bridge neighbors per domain, and the domains
+        // it touched (reset to zero after each candidate).
+        let mut heard = vec![0u32; domains.len()];
+        let mut touched: Vec<u32> = Vec::new();
+        // Round-robin down the id space until a full round adds no bridge.
+        // Downward, `Topology::bridged`'s gateway chain (each gateway waits
+        // on the next one) settles in a single round.
+        let mut quiet = 0;
+        let mut i = 0;
+        while quiet < n {
+            i = if i == 0 { n - 1 } else { i - 1 };
+            quiet += 1;
+            if is_bridge[i] {
+                continue;
+            }
+            // Sorted neighbor lists over mostly id-range domains: tally runs
+            // of one domain rather than one neighbor at a time.
+            let mut run = (u32::MAX, 0u32);
+            for &v in topology.neighbors(i as u32) {
+                if is_bridge[v as usize] {
                     continue;
                 }
-                let dominated = domains
-                    .iter()
-                    .filter(|members| {
-                        members.iter().all(|&m| {
-                            m == i || is_bridge[m as usize] || topology.are_neighbors(i, m)
-                        })
-                    })
-                    .count();
-                if dominated >= 2 {
-                    is_bridge[i as usize] = true;
-                    changed = true;
+                let d = domain_of[v as usize];
+                if d != run.0 {
+                    tally(&mut heard, &mut touched, run);
+                    run = (d, 0);
                 }
+                run.1 += 1;
             }
-            if !changed {
-                break;
+            tally(&mut heard, &mut touched, run);
+            // Dominated: every domain without non-bridge members, the home
+            // domain when i is its only non-bridge member, and each touched
+            // domain whose other non-bridge members i all hears.
+            let home = domain_of[i] as usize;
+            let mut dominated = dead + usize::from(heard[home] == 0 && live[home] == 1);
+            for d in touched.drain(..) {
+                let d = d as usize;
+                let others = live[d] - u32::from(d == home);
+                dominated += usize::from(heard[d] == others);
+                heard[d] = 0;
+            }
+            if dominated >= 2 {
+                is_bridge[i] = true;
+                live[home] -= 1;
+                dead += usize::from(live[home] == 0);
+                quiet = 0;
             }
         }
         let bridges: Vec<u32> = (0..topology.len())
@@ -389,10 +442,23 @@ impl DomainDecomposition {
         self.domain_of[i as usize]
     }
 
-    /// Whether station `i` has a neighbor in a foreign domain.
+    /// Whether station `i` is a gateway (listed in
+    /// [`bridges`](Self::bridges)).
     pub fn is_bridge(&self, i: u32) -> bool {
         self.bridges.binary_search(&i).is_ok()
     }
+}
+
+/// Add a run of `len` neighbors in domain `d` to `heard`, noting `d` in
+/// `touched` the first time it is heard. An empty run is a no-op.
+fn tally(heard: &mut [u32], touched: &mut Vec<u32>, (d, len): (u32, u32)) {
+    if len == 0 {
+        return;
+    }
+    if heard[d as usize] == 0 {
+        touched.push(d);
+    }
+    heard[d as usize] += len;
 }
 
 /// Domain-major index permutation over a [`DomainDecomposition`]: every
@@ -466,6 +532,7 @@ impl DomainOrder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha12Rng;
 
@@ -636,5 +703,212 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_rejected() {
         let _ = Topology::from_edges(2, &[(0, 5)]);
+    }
+
+    #[test]
+    fn bridged_len_counts_islands_and_gateways() {
+        assert_eq!(Topology::bridged_len(4, 25, 10), Some(1003));
+        assert_eq!(Topology::bridged_len(2, 1, 1), Some(3));
+        // cols·rows wraps to 0, and the gateway term pushes past u32::MAX.
+        assert_eq!(Topology::bridged_len(2, 65536, 65536), None);
+        assert_eq!(Topology::bridged_len(u32::MAX, 1, 1), None);
+        assert_eq!(Topology::bridged_len(2, u32::MAX / 2, 1), Some(u32::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u32")]
+    fn overflowing_bridged_mesh_rejected() {
+        let _ = Topology::bridged(2, 65536, 65536);
+    }
+
+    /// The bridge rule evaluated literally: passes in id order test every
+    /// (station, domain member) pair with `are_neighbors` until a pass adds
+    /// no bridge. The oracle the counting fixpoint must match.
+    fn naive_decomposition(partition: Vec<Vec<u32>>, t: &Topology) -> DomainDecomposition {
+        let mut domains = partition;
+        let mut domain_of = vec![u32::MAX; t.len() as usize];
+        for (d, members) in domains.iter_mut().enumerate() {
+            members.sort_unstable();
+            for &m in members.iter() {
+                domain_of[m as usize] = d as u32;
+            }
+        }
+        let mut is_bridge = vec![false; t.len() as usize];
+        loop {
+            let mut changed = false;
+            for i in 0..t.len() {
+                if is_bridge[i as usize] {
+                    continue;
+                }
+                let dominated = domains
+                    .iter()
+                    .filter(|members| {
+                        members
+                            .iter()
+                            .all(|&m| m == i || is_bridge[m as usize] || t.are_neighbors(i, m))
+                    })
+                    .count();
+                if dominated >= 2 {
+                    is_bridge[i as usize] = true;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        DomainDecomposition {
+            domains,
+            domain_of,
+            bridges: (0..t.len()).filter(|&i| is_bridge[i as usize]).collect(),
+        }
+    }
+
+    /// The edge list `Topology::bridged` used to feed `from_edges`: each
+    /// island a clique, gateway `j` joined to every member of islands `j`
+    /// and `j + 1`.
+    fn bridged_edges(domains: u32, cols: u32, rows: u32) -> Vec<(u32, u32)> {
+        let island = cols * rows;
+        let mut edges = Vec::new();
+        for k in 0..domains {
+            let base = k * island;
+            for i in 0..island {
+                for j in (i + 1)..island {
+                    edges.push((base + i, base + j));
+                }
+            }
+        }
+        for j in 0..domains - 1 {
+            let b = domains * island + j;
+            for i in j * island..(j + 2) * island {
+                edges.push((b, i));
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn bridged_adjacency_matches_the_explicit_edge_list() {
+        for domains in 2..=5 {
+            for cols in 1..=4 {
+                for rows in 1..=3 {
+                    let (t, _) = Topology::bridged(domains, cols, rows);
+                    let reference =
+                        Topology::from_edges(t.len(), &bridged_edges(domains, cols, rows));
+                    for i in 0..t.len() {
+                        assert_eq!(
+                            t.neighbors(i),
+                            reference.neighbors(i),
+                            "bridged({domains}, {cols}, {rows}) station {i}"
+                        );
+                        assert_eq!(t.adj[i as usize].capacity(), t.adj[i as usize].len());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counting_fixpoint_matches_the_oracle_on_the_generators() {
+        for domains in 2..=5 {
+            for cols in 1..=4 {
+                for rows in 1..=3 {
+                    let (t, d) = Topology::bridged(domains, cols, rows);
+                    assert_eq!(d, naive_decomposition(d.domains.clone(), &t));
+                }
+            }
+        }
+        for n in 3..40 {
+            let t = Topology::ring(n);
+            let singletons: Vec<Vec<u32>> = (0..n).map(|i| vec![i]).collect();
+            assert_eq!(
+                DomainDecomposition::from_partition(singletons.clone(), &t),
+                naive_decomposition(singletons, &t),
+                "ring({n})"
+            );
+        }
+        let t = Topology::grid(4, 3);
+        let halves = vec![(0..6).collect(), (6..12).collect()];
+        assert_eq!(
+            DomainDecomposition::from_partition(halves.clone(), &t),
+            naive_decomposition(halves, &t)
+        );
+    }
+
+    /// A graph on `n` stations joining each pair with probability
+    /// `density`.
+    fn random_graph(n: u32, density: f64, rng: &mut ChaCha12Rng) -> Vec<(u32, u32)> {
+        let mut edges = Vec::new();
+        for a in 0..n {
+            for b in a + 1..n {
+                if rng.random_bool(density) {
+                    edges.push((a, b));
+                }
+            }
+        }
+        edges
+    }
+
+    /// Fisher–Yates shuffle.
+    fn shuffle(v: &mut [u32], rng: &mut ChaCha12Rng) {
+        for i in (1..v.len()).rev() {
+            v.swap(i, rng.random_range(0..=i));
+        }
+    }
+
+    /// Stations grouped under random labels `0..k`, empty groups dropped.
+    fn random_partition(n: u32, rng: &mut ChaCha12Rng) -> Vec<Vec<u32>> {
+        let k = rng.random_range(1..=n);
+        let mut groups = vec![Vec::new(); k as usize];
+        for i in 0..n {
+            groups[rng.random_range(0..k) as usize].push(i);
+        }
+        groups.retain(|g| !g.is_empty());
+        groups
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// The counting fixpoint equals the literal rule on random graphs
+        /// of every density under random partitions: singletons, one
+        /// domain, random groups, random groups listed in shuffled order,
+        /// and a "hub" domain joined to every station, whose members all
+        /// end up bridges.
+        #[test]
+        fn counting_fixpoint_matches_the_naive_oracle(
+            seed in any::<u64>(),
+            n in 1u32..=24,
+            density in prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0],
+            shape in 0u32..5,
+        ) {
+            let mut rng = ChaCha12Rng::seed_from_u64(seed);
+            let mut edges = random_graph(n, density, &mut rng);
+            let partition = match shape {
+                0 => (0..n).map(|i| vec![i]).collect(),
+                1 => vec![(0..n).collect()],
+                2 => random_partition(n, &mut rng),
+                3 => {
+                    let mut groups = random_partition(n, &mut rng);
+                    for g in &mut groups {
+                        shuffle(g, &mut rng);
+                    }
+                    groups
+                }
+                _ => {
+                    let groups = random_partition(n, &mut rng);
+                    for &hub in &groups[0] {
+                        edges.extend((0..n).filter(|&v| v != hub).map(|v| (hub, v)));
+                    }
+                    groups
+                }
+            };
+            let t = Topology::from_edges(n, &edges);
+            let got = DomainDecomposition::from_partition(partition.clone(), &t);
+            if shape == 4 && partition.len() >= 2 {
+                prop_assert!(got.domains[0].iter().all(|&h| got.is_bridge(h)));
+            }
+            prop_assert_eq!(got, naive_decomposition(partition, &t));
+        }
     }
 }

@@ -131,10 +131,10 @@ fi
 echo "==> CLI argument validation rejects malformed input (exit 2, never a panic)"
 # Every case must be a named usage error (exit 2): a panic exits 101, so
 # merely non-zero is not enough. The --mesh cases pin value validation:
-# degenerate specs (zero islands, empty island grid, zero-area disk) used
-# to parse and then panic the topology generators. Each case runs under
-# `timeout 60` (exit 124), so an input that hangs the simulator fails the
-# gate instead of blocking it.
+# degenerate specs (zero islands, empty island grid, zero-area disk, a
+# station count past u32) used to parse and then panic, hang or abort the
+# topology generators. Each case runs under `timeout 60` (exit 124), so an
+# input that hangs the simulator fails the gate instead of blocking it.
 expect_usage_error() {
     set +e
     timeout 60 "$SIM" "$@" >/dev/null 2>&1
@@ -154,7 +154,8 @@ for bad in "--jam 50,20" "--jam 20,20" "--attack 600,400,30" "--churn 0,0.5,10" 
     "--campaign jamref:2:40:20" "--campaign coalition:2:nan:2:20:40" \
     "--campaign coalition:7:30:2:20:40" "--campaign warp:2:20:40" \
     "--guard nan" "--guard 0" "--guard -300" "--m 0" \
-    "--duration 1e300" "--duration 1e12"; do
+    "--duration 1e300" "--duration 1e12" \
+    "--mesh bridged:2:65536:65536" "--mesh bridged:4294967295:1:1"; do
     # shellcheck disable=SC2086
     expect_usage_error $bad --nodes 8
 done
@@ -163,6 +164,7 @@ done
 # flag can override them.
 expect_usage_error --nodes 0
 expect_usage_error --nodes 1
+expect_usage_error --mesh ring --nodes 2
 expect_usage_error trace "n=1 dur=12 seed=7 m=4 delta=300 plan=0"
 expect_usage_error trace "n=8 dur=0 seed=7 m=4 delta=300 plan=0"
 # A duration whose µTESLA interval count overflows u32 used to hang or
@@ -170,6 +172,11 @@ expect_usage_error trace "n=8 dur=0 seed=7 m=4 delta=300 plan=0"
 expect_usage_error trace "n=8 dur=1e300 seed=7 m=4 delta=300 plan=0"
 expect_usage_error trace "n=8 dur=20 seed=7 m=4 delta=nan plan=0"
 expect_usage_error trace "n=8 dur=20 seed=7 m=0 delta=300 plan=0"
+# A bridged mesh whose station count overflows u32 used to panic, hang or
+# abort; a ring under 3 stations used to panic.
+expect_usage_error trace "n=8 dur=5 seed=7 m=4 delta=300 plan=0 mesh=bridged:4294967295:1:1"
+expect_usage_error trace "n=8 dur=5 seed=7 m=4 delta=300 plan=0 mesh=bridged:2:65536:65536"
+expect_usage_error trace "n=2 dur=5 seed=7 m=4 delta=300 plan=0 mesh=ring"
 
 echo "==> large-n smoke (n=1000 and bridged-mesh runs inside wall-clock budget)"
 cargo run --release -q -p sstsp-bench --bin perf_baseline -- --smoke-large

@@ -31,7 +31,7 @@
 //! A `bridged` mesh fixes the station count to `D·C·R + D − 1` (islands
 //! plus gateways), overriding `--nodes`, and switches SSTSP to per-domain
 //! reference election; the run report then includes one line per collision
-//! domain.
+//! domain. That count must fit a `u32`, and a `ring` needs `--nodes` ≥ 3.
 //!
 //! The `trace` subcommand runs a fault-plan case spec — the same one-line
 //! format the scenario fuzzer prints for failing cases — under trace
@@ -390,6 +390,11 @@ fn main() {
             "--nodes must be at least 2, a network needs two stations (got {nodes})"
         ));
     }
+    if mesh == Some(MeshSpec::Ring) && nodes < 3 {
+        usage(&format!(
+            "--mesh ring needs at least 3 stations, a smaller ring does not close (got --nodes {nodes})"
+        ));
+    }
 
     let mut cfg = ScenarioConfig::new(protocol, nodes, duration, seed);
     if let Some(m) = m {
@@ -420,14 +425,10 @@ fn main() {
         // Validate the coalition against the (possibly mesh-derived)
         // station budget here so a bad flag is a usage error, not an
         // engine assertion.
-        let island = match cfg.topology {
-            Some(sstsp::scenario::TopologySpec::Bridged {
-                domains,
-                cols,
-                rows,
-            }) => domains * cols * rows,
-            _ => cfg.n_nodes,
-        };
+        let island = cfg
+            .topology
+            .and_then(|t| t.island_nodes())
+            .unwrap_or(cfg.n_nodes);
         if c.attackers >= island || c.attackers + 2 > cfg.n_nodes {
             usage(&format!(
                 "--campaign: `attackers` = {} needs more stations than the \
