@@ -23,7 +23,7 @@ use crate::instrument::{
     BpView, DeliveryCtx, DeliveryFate, DeliveryObs, EngineHook, FaultAction, NodeSnapshot, NoopHook,
 };
 use crate::kernel::{BpTimeline, NodeSoa};
-use crate::scenario::{ProtocolKind, ScenarioConfig, TopologySpec};
+use crate::scenario::{ProtocolKind, ScenarioConfig};
 use attacks::{AttackWindow, CampaignMember, FastBeaconAttacker};
 use clocks::Oscillator;
 use mac80211::ContentionWindow;
@@ -295,33 +295,11 @@ impl Network {
 
         // Multi-hop topology (the future-work extension): built up front
         // from the scenario stream; SSTSP members relay the timing wave.
-        let mut domains: Option<DomainDecomposition> = None;
-        let topology = sc.topology.map(|spec| match spec {
-            TopologySpec::Line => Topology::line(sc.n_nodes),
-            TopologySpec::Ring => Topology::ring(sc.n_nodes),
-            TopologySpec::Grid { cols, rows } => {
-                assert_eq!(cols * rows, sc.n_nodes, "grid must cover all stations");
-                Topology::grid(cols, rows)
-            }
-            TopologySpec::RandomDisk { side, range } => {
-                let mut topo_rng = streams.stream(StreamDomain::Scenario, 1);
-                Topology::random_disk(sc.n_nodes, side, range, &mut topo_rng)
-            }
-            TopologySpec::Bridged {
-                domains: nd,
-                cols,
-                rows,
-            } => {
-                let (topo, decomp) = Topology::bridged(nd, cols, rows);
-                assert_eq!(
-                    topo.len(),
-                    sc.n_nodes,
-                    "bridged mesh must cover all stations"
-                );
-                domains = Some(decomp);
-                topo
-            }
-        });
+        let (topology, domains) = sc
+            .build_topology()
+            .unwrap_or_else(|e| panic!("{e}"))
+            .unzip();
+        let domains = domains.flatten();
         let station_domains = match (&topology, &domains) {
             (Some(t), None) => Some(DomainDecomposition::from_partition(
                 (0..t.len()).map(|i| vec![i]).collect(),

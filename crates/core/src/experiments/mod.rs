@@ -1,13 +1,12 @@
 //! One module per table/figure of the paper's evaluation (Sec. 5), plus the
 //! ablations DESIGN.md calls out. Each experiment produces the rows/series
-//! the paper reports; the benches in `crates/bench` and the
-//! `paper_figures` example regenerate them from here.
+//! the paper reports; the `paper_figures` example regenerates them from
+//! here.
 //!
 //! Every experiment takes a [`Fidelity`]: [`Fidelity::Paper`] uses the
 //! paper's exact dimensions (1000 s, up to 500 stations — minutes of wall
 //! time); [`Fidelity::Quick`] shrinks the network and horizon while keeping
-//! every mechanism active (used by tests and as the timed kernel in the
-//! Criterion benches).
+//! every mechanism active (used by tests and by `paper_figures -- quick`).
 
 pub mod ablation;
 pub mod fig1;
@@ -45,7 +44,7 @@ pub(crate) fn scaled_paper_scenario(
 pub enum Fidelity {
     /// The paper's exact dimensions.
     Paper,
-    /// Reduced dimensions (same mechanisms) for tests and timed benches.
+    /// Reduced dimensions (same mechanisms) for tests and quick looks.
     Quick,
 }
 

@@ -1,5 +1,5 @@
 //! Plain-text rendering of experiment outputs: aligned tables and ASCII
-//! time-series charts, so the benches and examples can print exactly the
+//! time-series charts, so the examples can print exactly the
 //! rows/series the paper reports without any plotting dependency.
 
 use simcore::TimeSeries;

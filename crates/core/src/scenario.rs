@@ -9,7 +9,9 @@
 use clocks::DriftModel;
 use protocols::api::ProtocolConfig;
 use serde::{Deserialize, Serialize};
-use wireless::Topology;
+use simcore::rng::StreamDomain;
+use simcore::RngStreams;
+use wireless::{DomainDecomposition, Topology, RANDOM_DISK_ATTEMPTS};
 
 pub use attacks::campaign::{CampaignKind, CampaignSpec};
 
@@ -322,6 +324,60 @@ impl ScenarioConfig {
             self.n_nodes
         );
         top - c.attackers..top
+    }
+
+    /// Builds the multi-hop topology, with the collision-domain
+    /// decomposition a bridged mesh carries; `Ok(None)` for the single-hop
+    /// IBSS. A random geometric graph draws its placements from scenario
+    /// stream 1, so this one construction serves both
+    /// [`Network::build`](crate::Network::build) and the input validators
+    /// that must reject a spec before the engine meets it.
+    ///
+    /// # Errors
+    /// A random geometric graph with no connected placement among the
+    /// [`RANDOM_DISK_ATTEMPTS`] this seed draws.
+    ///
+    /// # Panics
+    /// A grid or bridged mesh that does not cover `n_nodes` stations, or a
+    /// ring under 3 stations; parsers reject both.
+    pub fn build_topology(
+        &self,
+    ) -> Result<Option<(Topology, Option<DomainDecomposition>)>, String> {
+        let Some(spec) = self.topology else {
+            return Ok(None);
+        };
+        let n = self.n_nodes;
+        let built = match spec {
+            TopologySpec::Line => (Topology::line(n), None),
+            TopologySpec::Ring => (Topology::ring(n), None),
+            TopologySpec::Grid { cols, rows } => {
+                assert_eq!(cols * rows, n, "grid must cover all stations");
+                (Topology::grid(cols, rows), None)
+            }
+            TopologySpec::RandomDisk { side, range } => {
+                let mut rng = RngStreams::new(self.seed).stream(StreamDomain::Scenario, 1);
+                let Some(topo) =
+                    Topology::try_random_disk(n, side, range, &mut rng, RANDOM_DISK_ATTEMPTS)
+                else {
+                    return Err(format!(
+                        "no connected placement of {n} stations in a {side} × {side} area \
+                         at range {range} ({RANDOM_DISK_ATTEMPTS} draws at seed {})",
+                        self.seed
+                    ));
+                };
+                (topo, None)
+            }
+            TopologySpec::Bridged {
+                domains,
+                cols,
+                rows,
+            } => {
+                let (topo, decomp) = Topology::bridged(domains, cols, rows);
+                assert_eq!(topo.len(), n, "bridged mesh must cover all stations");
+                (topo, Some(decomp))
+            }
+        };
+        Ok(Some(built))
     }
 }
 

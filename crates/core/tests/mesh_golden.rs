@@ -1,10 +1,13 @@
-//! Mesh golden pins: the 2-domain grid-with-bridge scenario.
+//! Mesh golden pins: the 2-domain grid-with-bridge scenario, plus the
+//! per-domain election on a 4-domain mesh.
 //!
 //! This is the canonical multi-collision-domain shape — two 3×2 full-mesh
 //! islands joined by one gateway station (n = 13) — and these constants pin
 //! everything observable about it: the run summary, a sampled spread
 //! trajectory, the per-domain report, the complete per-domain election
 //! transcript, and the telemetry counters of the domain-election machinery.
+//! A chain of four 5×5 islands (n = 103) checks that the election also
+//! settles when domains have two gateways each.
 //! `scripts/check.sh` re-runs the thread-determinism suite (which
 //! fingerprints this same scenario) at RAYON_NUM_THREADS=1,2,8, so the pins
 //! here are pool-size independent by construction.
@@ -160,6 +163,31 @@ fn bridged_mesh_matches_recorded_goldens() {
     for &(key, total) in &GOLDEN_COUNTERS {
         assert_eq!(snap.counter(key), total, "counter {key}");
     }
+}
+
+#[test]
+fn four_domain_mesh_elects_a_distinct_reference_per_domain() {
+    let mut cfg = ScenarioConfig::new(ProtocolKind::Sstsp, 103, 5.0, 2006);
+    cfg.topology = Some(TopologySpec::Bridged {
+        domains: 4,
+        cols: 5,
+        rows: 5,
+    });
+    // Telemetry is process-wide: hold the session so this run cannot add
+    // to the counters the golden test above pins.
+    let _rec = sstsp_telemetry::recording();
+    let r = Network::build(&cfg).run();
+    let report = r.domain_report.expect("mesh run reports domains");
+    assert_eq!(report.len(), 4, "domain count: {report:?}");
+    let mut refs: Vec<u32> = report.iter().filter_map(|d| d.final_reference).collect();
+    assert_eq!(
+        refs.len(),
+        4,
+        "a domain ended without a reference: {report:?}"
+    );
+    refs.sort_unstable();
+    refs.dedup();
+    assert_eq!(refs.len(), 4, "two domains share a reference: {report:?}");
 }
 
 /// Generator: prints current values in the constants' layout.

@@ -662,15 +662,24 @@ impl FromStr for FuzzCase {
                 events,
             },
         };
-        // Cross-dimension validation: a ring too small to close, or a
+        // Cross-dimension validation: a ring too small to close, a random
+        // geometric graph with no connected placement at this seed, or a
         // campaign that parses on its own but compromises too many of this
         // case's stations, must be a named-token parse error, not an engine
         // assertion later.
-        if case.mesh == Some(MeshSpec::Ring) && case.n < 3 {
-            return Err(SpecError(format!(
-                "`mesh=ring` needs at least 3 stations, got `n={}`",
-                case.n
-            )));
+        match case.mesh {
+            Some(MeshSpec::Ring) if case.n < 3 => {
+                return Err(SpecError(format!(
+                    "`mesh=ring` needs at least 3 stations, got `n={}`",
+                    case.n
+                )));
+            }
+            Some(mesh @ MeshSpec::Rgg { .. }) => {
+                if let Err(e) = case.scenario().build_topology() {
+                    return Err(SpecError(format!("`mesh={mesh}`: {e}")));
+                }
+            }
+            _ => {}
         }
         if let Some(c) = case.campaign {
             let (island, n_eff) = case.campaign_capacity();
@@ -934,6 +943,16 @@ mod tests {
             (
                 "n=2 dur=5 seed=7 m=4 delta=300 plan=0 mesh=ring",
                 "mesh=ring",
+            ),
+            // A random geometric graph with no connected placement at the
+            // case's seed panicked the engine's topology build.
+            (
+                "n=8 dur=5 seed=7 m=4 delta=300 plan=0 mesh=rgg:1000:1",
+                "mesh=rgg:1000:1",
+            ),
+            (
+                "n=8 dur=5 seed=7 m=4 delta=300 plan=0 mesh=rgg:100:5",
+                "mesh=rgg:100:5",
             ),
         ] {
             let SpecError(msg) = spec.parse::<FuzzCase>().unwrap_err();

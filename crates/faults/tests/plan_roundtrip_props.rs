@@ -66,7 +66,15 @@ fn mesh() -> BoxedStrategy<Option<MeshSpec>> {
         Just(None),
         Just(Some(MeshSpec::Line)),
         Just(Some(MeshSpec::Ring)),
-        (1.0..200.0, 0.5..80.0).prop_map(|(side, range)| Some(MeshSpec::Rgg { side, range })),
+        // A range past the area's diagonal (√2·side) connects every
+        // placement; the parser rejects an rgg mesh that has no connected
+        // placement at the case's seed.
+        (1.0..200.0, 1.5..3.0).prop_map(|(side, reach)| {
+            Some(MeshSpec::Rgg {
+                side,
+                range: side * reach,
+            })
+        }),
         (2u32..5, 1u32..5, 1u32..5).prop_map(|(domains, cols, rows)| {
             Some(MeshSpec::Bridged {
                 domains,

@@ -33,4 +33,4 @@ pub mod topology;
 pub use channel::{Channel, Delivery, TxAttempt, WindowOutcome};
 pub use multihop::{resolve_multihop, MeshResolver, MhAttempt, MhDelivery, MhOutcome};
 pub use phy::{PhyParams, FRAME_OVERHEAD_SSTSP, FRAME_OVERHEAD_TSF};
-pub use topology::{DomainDecomposition, DomainOrder, Topology};
+pub use topology::{DomainDecomposition, DomainOrder, Topology, RANDOM_DISK_ATTEMPTS};

@@ -11,6 +11,10 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
+/// How many placements [`Topology::random_disk`] draws before it gives up
+/// on finding a connected one.
+pub const RANDOM_DISK_ATTEMPTS: u32 = 64;
+
 /// A static connectivity graph over stations `0..n`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Topology {
@@ -85,13 +89,14 @@ impl Topology {
     }
 
     /// Unit-disk graph: stations uniform in a `side × side` area, connected
-    /// within `range`. Retries until connected (up to 64 attempts).
+    /// within `range`. Retries until connected (up to
+    /// [`RANDOM_DISK_ATTEMPTS`] attempts).
     ///
     /// # Panics
     /// Panics if no connected placement is found — pick a larger range or
     /// smaller area.
     pub fn random_disk<R: Rng + ?Sized>(n: u32, side: f64, range: f64, rng: &mut R) -> Self {
-        Self::try_random_disk(n, side, range, rng, 64).unwrap_or_else(|| {
+        Self::try_random_disk(n, side, range, rng, RANDOM_DISK_ATTEMPTS).unwrap_or_else(|| {
             panic!("no connected unit-disk placement found for n={n}, side={side}, range={range}")
         })
     }

@@ -132,9 +132,10 @@ echo "==> CLI argument validation rejects malformed input (exit 2, never a panic
 # Every case must be a named usage error (exit 2): a panic exits 101, so
 # merely non-zero is not enough. The --mesh cases pin value validation:
 # degenerate specs (zero islands, empty island grid, zero-area disk, a
-# station count past u32) used to parse and then panic, hang or abort the
-# topology generators. Each case runs under `timeout 60` (exit 124), so an
-# input that hangs the simulator fails the gate instead of blocking it.
+# station count past u32, a disk graph with no connected placement) used
+# to parse and then panic, hang or abort the topology generators. Each case
+# runs under `timeout 60` (exit 124), so an input that hangs the simulator
+# fails the gate instead of blocking it.
 expect_usage_error() {
     set +e
     timeout 60 "$SIM" "$@" >/dev/null 2>&1
@@ -155,7 +156,8 @@ for bad in "--jam 50,20" "--jam 20,20" "--attack 600,400,30" "--churn 0,0.5,10" 
     "--campaign coalition:7:30:2:20:40" "--campaign warp:2:20:40" \
     "--guard nan" "--guard 0" "--guard -300" "--m 0" \
     "--duration 1e300" "--duration 1e12" \
-    "--mesh bridged:2:65536:65536" "--mesh bridged:4294967295:1:1"; do
+    "--mesh bridged:2:65536:65536" "--mesh bridged:4294967295:1:1" \
+    "--mesh rgg:1000:1" "--mesh rgg:100:5"; do
     # shellcheck disable=SC2086
     expect_usage_error $bad --nodes 8
 done
@@ -177,20 +179,12 @@ expect_usage_error trace "n=8 dur=20 seed=7 m=0 delta=300 plan=0"
 expect_usage_error trace "n=8 dur=5 seed=7 m=4 delta=300 plan=0 mesh=bridged:4294967295:1:1"
 expect_usage_error trace "n=8 dur=5 seed=7 m=4 delta=300 plan=0 mesh=bridged:2:65536:65536"
 expect_usage_error trace "n=2 dur=5 seed=7 m=4 delta=300 plan=0 mesh=ring"
-
-echo "==> large-n smoke (n=1000 and bridged-mesh runs inside wall-clock budget)"
-cargo run --release -q -p sstsp-bench --bin perf_baseline -- --smoke-large
+# A random geometric graph with no connected placement at the run's seed
+# used to panic the engine's topology build.
+expect_usage_error trace "n=8 dur=5 seed=7 m=4 delta=300 plan=0 mesh=rgg:1000:1"
 
 echo "==> work-stealing deque stress smoke (concurrent steal, exactly-once claims)"
 cargo test -q --release -p rayon deque_stress
-
-echo "==> telemetry-overhead smoke (disabled-path throughput vs BENCH_engine.json)"
-# One retry: on a loaded 1-core host the overhead estimate occasionally
-# strays past the budget even with the robust estimators (true overhead
-# ~7% vs a 10% budget leaves little noise margin). The regression class
-# this gate exists to catch costs tens of percent and fails both attempts.
-cargo run --release -q -p sstsp-bench --bin perf_baseline -- --smoke ||
-    cargo run --release -q -p sstsp-bench --bin perf_baseline -- --smoke
 
 echo "==> no raw println!/eprintln! in library crates (use sstsp-telemetry log/trace)"
 # Library sources must emit through the telemetry layer so output is
@@ -205,6 +199,9 @@ fi
 echo "==> benchmark package (perfbench/, its own workspace): build + tests"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> performance gate (working tree vs HEAD: paired perfbench runs, telemetry overhead)"
+scripts/perf_gate.sh
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

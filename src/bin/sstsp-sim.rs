@@ -31,7 +31,8 @@
 //! A `bridged` mesh fixes the station count to `D·C·R + D − 1` (islands
 //! plus gateways), overriding `--nodes`, and switches SSTSP to per-domain
 //! reference election; the run report then includes one line per collision
-//! domain. That count must fit a `u32`, and a `ring` needs `--nodes` ≥ 3.
+//! domain. That count must fit a `u32`, a `ring` needs `--nodes` ≥ 3, and
+//! an `rgg` mesh must find a connected placement at the run's seed.
 //!
 //! The `trace` subcommand runs a fault-plan case spec — the same one-line
 //! format the scenario fuzzer prints for failing cases — under trace
@@ -419,6 +420,11 @@ fn main() {
             cfg.n_nodes = required;
         }
         cfg.topology = Some(topo);
+        // A random geometric graph with no connected placement at this
+        // seed and station count is a usage error, not an engine panic.
+        if let Err(e) = cfg.build_topology() {
+            usage(&format!("--mesh {m}: {e}"));
+        }
     }
     if let Some(c) = campaign {
         cfg.campaign = Some(c);
