@@ -2,14 +2,10 @@
 //!
 //! SSTSP's coarse synchronization phase collects timestamp offsets from
 //! overheard beacons, **eliminates biased offsets** (possibly injected by an
-//! attacker), and averages the survivors. The paper points at two filters
-//! from Song, Zhu & Cao (MASS 2005):
-//!
-//! * [`threshold`] — a robust median-distance threshold filter (cheap, used
-//!   online);
-//! * [`gesd`] — the Generalized Extreme Studentized Deviate test (Rosner
-//!   1983), which detects up to `r` outliers in approximately normal data
-//!   without masking effects.
+//! attacker), and averages the survivors. The paper points at the filters
+//! of Song, Zhu & Cao (MASS 2005): a threshold filter and the GESD
+//! multiple-outlier test. The coarse phase uses the first,
+//! [`threshold`]'s robust median-distance filter; GESD is not built.
 //!
 //! [`metrics`] holds the measurement side: maximum pairwise clock spread
 //! (the y-axis of every figure in the paper) and the synchronization-latency
@@ -18,10 +14,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod gesd;
 pub mod metrics;
 pub mod threshold;
 
-pub use gesd::{gesd_outliers, GesdConfig};
 pub use metrics::{max_pairwise_spread, SpreadTracker, SyncCriterion};
 pub use threshold::ThresholdFilter;

@@ -10,15 +10,16 @@
 //!   wins every contention, suppresses all legitimate beacons and
 //!   desynchronizes the network; against SSTSP it can at most become the
 //!   reference of a slightly skewed virtual clock.
-//! * **replay attacker** ([`replay`]) — records legitimate beacons and
-//!   re-transmits them later to magnify the offset between declared and
-//!   actual time (µTESLA's interval check defeats it).
+//! * **replay** — recording legitimate beacons and re-transmitting them
+//!   later to magnify the offset between declared and actual time
+//!   (µTESLA's interval check defeats it); the coalition campaign's
+//!   amplifiers ([`campaign`]) are the replay attacker;
 //! * **external forger** ([`forger`]) — fabricates secured-looking beacons
 //!   without possessing any authenticated hash chain (the anchor registry
 //!   defeats it).
-//! * **pulse-delay / jamming** — jam-then-relay is modeled through the
-//!   channel's jamming switch plus the replay attacker with sub-BP delay;
-//!   see the integration tests.
+//! * **jamming** — the channel's jamming switch, driven by scenario jam
+//!   windows and by the campaign's reference-slot jammer; pulse-delay
+//!   (jam-then-relay) is not modeled.
 //! * **coordinated campaigns** ([`campaign`]) — colluding coalitions of
 //!   the above, Sybil-style candidacy flooding against per-domain
 //!   reference election, and a reactive jammer keyed to the sitting
@@ -33,9 +34,7 @@
 pub mod campaign;
 pub mod fast_beacon;
 pub mod forger;
-pub mod replay;
 
 pub use campaign::{CampaignKind, CampaignMember, CampaignRole, CampaignSpec};
 pub use fast_beacon::{AttackWindow, FastBeaconAttacker};
 pub use forger::ExternalForger;
-pub use replay::ReplayAttacker;

@@ -279,6 +279,9 @@ macro_rules! mirror {
 
 impl Network {
     /// Instantiate every station, oscillator and RNG stream for `scenario`.
+    ///
+    /// # Panics
+    /// On a scenario that [`ScenarioConfig::check`] rejects.
     pub fn build(scenario: &ScenarioConfig) -> Self {
         let streams = RngStreams::new(scenario.seed);
         let n = scenario.n_nodes as usize;
@@ -293,11 +296,12 @@ impl Network {
             phy.tsf_beacon_slots as u32
         };
 
-        // Multi-hop topology (the future-work extension): built up front
-        // from the scenario stream; SSTSP members relay the timing wave.
+        // The scenario check, which also builds the multi-hop topology (the
+        // future-work extension) from the scenario stream; SSTSP members
+        // relay the timing wave.
         let (topology, domains) = sc
-            .build_topology()
-            .unwrap_or_else(|e| panic!("{e}"))
+            .check()
+            .unwrap_or_else(|e| panic!("invalid scenario: {e}"))
             .unzip();
         let domains = domains.flatten();
         let station_domains = match (&topology, &domains) {
@@ -434,9 +438,10 @@ impl Network {
         let total_bps = self.scenario.total_bps();
         let horizon = SimTime::ZERO + bp * (total_bps + 1);
         // Precompute churn departure instants (BP indices).
-        let churn_bps: Vec<u64> = match self.scenario.churn {
+        let sc = &self.scenario;
+        let churn_bps: Vec<u64> = match sc.churn {
             Some(c) => {
-                let period_bps = (c.period_s * 1e6 / pcfg.bp_us).round() as u64;
+                let period_bps = sc.bps(c.period_s);
                 (1..)
                     .map(|k| k * period_bps)
                     .take_while(|&b| b < total_bps)
@@ -444,18 +449,9 @@ impl Network {
             }
             None => Vec::new(),
         };
-        let churn_absence_bps = self
-            .scenario
-            .churn
-            .map(|c| (c.absence_s * 1e6 / pcfg.bp_us).round() as u64)
-            .unwrap_or(0);
-        let ref_leave_bps: Vec<u64> = self
-            .scenario
-            .ref_leaves_s
-            .iter()
-            .map(|&s| (s * 1e6 / pcfg.bp_us).round() as u64)
-            .collect();
-        let ref_absence_bps = (self.scenario.ref_absence_s * 1e6 / pcfg.bp_us).round() as u64;
+        let churn_absence_bps = sc.churn.map(|c| sc.bps(c.absence_s)).unwrap_or(0);
+        let ref_leave_bps: Vec<u64> = sc.ref_leaves_s.iter().map(|&s| sc.bps(s)).collect();
+        let ref_absence_bps = sc.bps(sc.ref_absence_s);
 
         // Quiescent-BP timeline: which BPs have *any* scheduled scenario
         // event (churn/reference departure, jam window, attacker or

@@ -6,6 +6,9 @@
 //! initial offsets ±112 µs, 5 % of the stations leaving at k·200 s for
 //! 50 s, and the reference leaving at 300 s, 500 s and 800 s.
 
+use std::fmt;
+use std::str::FromStr;
+
 use clocks::DriftModel;
 use protocols::api::ProtocolConfig;
 use serde::{Deserialize, Serialize};
@@ -102,7 +105,7 @@ impl AttackerSpec {
 
 /// Topology for the multi-hop extension. `None` = the paper's single-hop
 /// IBSS (full connectivity, fast-path channel model).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum TopologySpec {
     /// A path of stations: worst case for per-hop error accumulation.
     Line,
@@ -141,14 +144,14 @@ impl TopologySpec {
     /// The station count this spec requires, when it determines one.
     ///
     /// # Panics
-    /// Panics if that count overflows `u32`; parsers reject such specs
-    /// through [`TopologySpec::fits`].
+    /// Panics if that count overflows `u32`; see [`TopologySpec::fits`].
     pub fn required_nodes(&self) -> Option<u32> {
         self.checked_required_nodes()
             .expect("topology station count overflows u32")
     }
 
     /// Whether the station count this spec requires, if any, fits a `u32`.
+    /// [`ScenarioConfig::check`] rejects a spec for which it does not.
     pub fn fits(&self) -> bool {
         self.checked_required_nodes().is_some()
     }
@@ -177,6 +180,66 @@ impl TopologySpec {
     }
 }
 
+/// `line`, `ring`, `grid:C:R`, `rgg:SIDE:RANGE` or `bridged:D:C:R`; the
+/// inverse of [`TopologySpec::from_str`].
+impl fmt::Display for TopologySpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            TopologySpec::Line => write!(f, "line"),
+            TopologySpec::Ring => write!(f, "ring"),
+            TopologySpec::Grid { cols, rows } => write!(f, "grid:{cols}:{rows}"),
+            TopologySpec::RandomDisk { side, range } => write!(f, "rgg:{side}:{range}"),
+            TopologySpec::Bridged {
+                domains,
+                cols,
+                rows,
+            } => write!(f, "bridged:{domains}:{cols}:{rows}"),
+        }
+    }
+}
+
+/// Parses the [`Display`](fmt::Display) grammar. Syntax only: whether the
+/// values can run is [`ScenarioConfig::check`]'s to say.
+impl FromStr for TopologySpec {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let mut parts = s.split(':');
+        let head = parts.next().unwrap_or("");
+        let mut arg = |what: &str| {
+            parts
+                .next()
+                .ok_or_else(|| format!("`{head}` mesh needs `{what}`"))
+        };
+        fn num<T: FromStr>(what: &str, v: &str) -> Result<T, String> {
+            v.parse()
+                .map_err(|_| format!("bad value `{v}` for `{what}`"))
+        }
+        let spec = match head {
+            "line" => TopologySpec::Line,
+            "ring" => TopologySpec::Ring,
+            "grid" => TopologySpec::Grid {
+                cols: num("cols", arg("cols")?)?,
+                rows: num("rows", arg("rows")?)?,
+            },
+            "rgg" => TopologySpec::RandomDisk {
+                side: num("side", arg("side")?)?,
+                range: num("range", arg("range")?)?,
+            },
+            "bridged" => TopologySpec::Bridged {
+                domains: num("domains", arg("domains")?)?,
+                cols: num("cols", arg("cols")?)?,
+                rows: num("rows", arg("rows")?)?,
+            },
+            _ => return Err(format!("unknown mesh kind `{head}`")),
+        };
+        if parts.next().is_some() {
+            return Err(format!("trailing mesh args in `{s}`"));
+        }
+        Ok(spec)
+    }
+}
+
 /// A jamming window: the channel destroys every transmission inside it.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct JamWindow {
@@ -184,6 +247,49 @@ pub struct JamWindow {
     pub start_s: f64,
     /// End, seconds.
     pub end_s: f64,
+}
+
+/// The scenario field a [`ScenarioError`] rejects. Each front end maps it
+/// to the token that sets the field (`--guard`, `delta=`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScenarioField {
+    /// `n_nodes`.
+    Nodes,
+    /// `duration_s`.
+    Duration,
+    /// `protocol_config.m`.
+    M,
+    /// `protocol_config.guard_fine_us` (δ).
+    Guard,
+    /// `per`.
+    Per,
+    /// `churn`.
+    Churn,
+    /// `ref_leaves_s`.
+    RefLeaves,
+    /// `attacker`.
+    Attack,
+    /// `jam_windows`.
+    Jam,
+    /// `campaign`.
+    Campaign,
+    /// `topology`.
+    Topology,
+}
+
+/// A scenario no run can take: the field at fault and the rule it breaks.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScenarioError {
+    /// The offending field.
+    pub field: ScenarioField,
+    /// The rule it breaks, with the offending value.
+    pub reason: String,
+}
+
+impl fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:?}: {}", self.field, self.reason)
+    }
 }
 
 /// A complete scenario.
@@ -229,7 +335,7 @@ impl ScenarioConfig {
     /// is finite and positive, and the run's µTESLA interval count,
     /// `ceil(duration / BP) + 64`, fits the `u32` interval index. At the
     /// paper's 0.1 s BP that allows up to about 4.29·10⁸ s.
-    pub fn duration_fits(duration_s: f64) -> bool {
+    fn duration_fits(duration_s: f64) -> bool {
         let bp_s = ProtocolConfig::paper().bp_us / 1e6;
         duration_s.is_finite()
             && duration_s > 0.0
@@ -237,14 +343,8 @@ impl ScenarioConfig {
     }
 
     /// A minimal scenario: no churn, no reference departures, no attacker.
+    /// Takes any values; [`check`](Self::check) says whether they can run.
     pub fn new(protocol: ProtocolKind, n_nodes: u32, duration_s: f64, seed: u64) -> Self {
-        assert!(n_nodes >= 2, "a network needs at least two stations");
-        assert!(
-            Self::duration_fits(duration_s),
-            "duration {duration_s} s is not positive, or its µTESLA interval count overflows u32"
-        );
-        let mut pc = ProtocolConfig::paper();
-        pc.total_intervals = (duration_s / (pc.bp_us / 1e6)).ceil() as usize + 64;
         ScenarioConfig {
             protocol,
             n_nodes,
@@ -252,7 +352,7 @@ impl ScenarioConfig {
             seed,
             drift: DriftModel::paper(),
             per: 1e-4,
-            protocol_config: pc,
+            protocol_config: ProtocolConfig::paper(),
             churn: None,
             ref_leaves_s: Vec::new(),
             ref_absence_s: 50.0,
@@ -262,6 +362,15 @@ impl ScenarioConfig {
             topology: None,
             timestamp_jitter_us: 1.0,
         }
+        .with_duration(duration_s)
+    }
+
+    /// Run for `duration_s` seconds, on hash chains 64 intervals longer.
+    pub fn with_duration(mut self, duration_s: f64) -> Self {
+        let bps = (duration_s / (self.protocol_config.bp_us / 1e6)).ceil() as usize;
+        self.protocol_config.total_intervals = bps.saturating_add(64);
+        self.duration_s = duration_s;
+        self
     }
 
     /// The paper's Sec. 5 setup: 1000 s, churn at k·200 s, reference
@@ -295,9 +404,26 @@ impl ScenarioConfig {
         self
     }
 
+    /// Run on `topology`. A spec that fixes the station count (grid,
+    /// bridged) sets `n_nodes`; one whose count overflows `u32` leaves it
+    /// for [`check`](Self::check) to reject.
+    pub fn with_topology(mut self, topology: TopologySpec) -> Self {
+        if let Some(Some(n)) = topology.checked_required_nodes() {
+            self.n_nodes = n;
+        }
+        self.topology = Some(topology);
+        self
+    }
+
     /// Number of beacon periods in the run.
     pub fn total_bps(&self) -> u64 {
         (self.duration_s / (self.protocol_config.bp_us / 1e6)).floor() as u64
+    }
+
+    /// The number of BPs nearest `seconds`: the engine's BP index of a
+    /// scheduled instant, and its length in BPs of a scheduled span.
+    pub fn bps(&self, seconds: f64) -> u64 {
+        (seconds * 1e6 / self.protocol_config.bp_us).round() as u64
     }
 
     /// The attacker's station id, if an attacker is configured.
@@ -313,57 +439,209 @@ impl ScenarioConfig {
     /// the whole id space otherwise.
     pub fn campaign_member_ids(&self) -> std::ops::Range<u32> {
         let Some(c) = &self.campaign else { return 0..0 };
-        let top = self
-            .topology
-            .and_then(|t| t.island_nodes())
-            .unwrap_or(self.n_nodes);
         assert!(
-            c.attackers < top && c.attackers <= self.n_nodes - 2,
+            c.attackers <= self.max_attackers(),
             "campaign must leave honest island stations ({} attackers, {} stations)",
             c.attackers,
             self.n_nodes
         );
+        let top = self.compromisable();
         top - c.attackers..top
     }
 
-    /// Builds the multi-hop topology, with the collision-domain
-    /// decomposition a bridged mesh carries; `Ok(None)` for the single-hop
-    /// IBSS. A random geometric graph draws its placements from scenario
-    /// stream 1, so this one construction serves both
-    /// [`Network::build`](crate::Network::build) and the input validators
-    /// that must reject a spec before the engine meets it.
+    /// The stations a campaign may compromise: a bridged mesh's island
+    /// stations, gateways excluded, and every station otherwise.
+    fn compromisable(&self) -> u32 {
+        self.topology
+            .and_then(|t| t.island_nodes())
+            .unwrap_or(self.n_nodes)
+    }
+
+    /// The largest coalition the scenario can field: it must leave one
+    /// honest island station, and two honest stations in all.
+    pub fn max_attackers(&self) -> u32 {
+        self.compromisable()
+            .saturating_sub(1)
+            .min(self.n_nodes.saturating_sub(2))
+    }
+
+    /// The one scenario check: tests every rule a run relies on, then
+    /// builds the multi-hop topology with the collision-domain
+    /// decomposition a bridged mesh carries (`Ok(None)` for the single-hop
+    /// IBSS). [`Network::build`](crate::Network::build) calls it once, and
+    /// each front end calls it to name the token that set the
+    /// [`ScenarioField`] at fault. A random geometric graph draws its
+    /// placements from scenario stream 1.
     ///
     /// # Errors
-    /// A random geometric graph with no connected placement among the
-    /// [`RANDOM_DISK_ATTEMPTS`] this seed draws.
-    ///
-    /// # Panics
-    /// A grid or bridged mesh that does not cover `n_nodes` stations, or a
-    /// ring under 3 stations; parsers reject both.
-    pub fn build_topology(
-        &self,
-    ) -> Result<Option<(Topology, Option<DomainDecomposition>)>, String> {
+    /// The first rule the scenario breaks.
+    pub fn check(&self) -> Result<Option<(Topology, Option<DomainDecomposition>)>, ScenarioError> {
+        use ScenarioField as F;
+        macro_rules! ensure {
+            ($ok:expr, $field:expr, $($reason:tt)+) => {
+                if !$ok {
+                    let reason = format!($($reason)+);
+                    return Err(ScenarioError { field: $field, reason });
+                }
+            };
+        }
+        let (n, pc) = (self.n_nodes, &self.protocol_config);
+        let positive = |v: f64| v > 0.0 && v.is_finite();
+        // The mesh first: a grid or bridged mesh fixes the station count.
+        if let Some(spec) = self.topology {
+            let mesh = F::Topology;
+            match spec {
+                TopologySpec::Ring => {
+                    ensure!(n >= 3, mesh, "a `ring` needs at least 3 stations, got {n}")
+                }
+                TopologySpec::RandomDisk { side, range } => {
+                    for (what, v) in [("side", side), ("range", range)] {
+                        ensure!(
+                            positive(v),
+                            mesh,
+                            "rgg `{what}` must be finite and positive, got `{v}`"
+                        );
+                    }
+                }
+                TopologySpec::Bridged {
+                    domains,
+                    cols,
+                    rows,
+                } => {
+                    for (what, v, min) in [
+                        ("domains", domains, 2),
+                        ("cols", cols, 1),
+                        ("rows", rows, 1),
+                    ] {
+                        ensure!(
+                            v >= min,
+                            mesh,
+                            "bridged `{what}` must be at least {min}, got `{v}`"
+                        );
+                    }
+                }
+                TopologySpec::Line | TopologySpec::Grid { .. } => {}
+            }
+            ensure!(
+                spec.fits(),
+                mesh,
+                "mesh `{spec}` has more than u32::MAX stations"
+            );
+            if let Some(count) = spec.required_nodes() {
+                ensure!(
+                    count >= 2,
+                    mesh,
+                    "mesh `{spec}` has {count} stations, a network needs two"
+                );
+                ensure!(
+                    count == n,
+                    mesh,
+                    "mesh `{spec}` has {count} stations, the scenario {n}"
+                );
+            }
+        }
+        ensure!(
+            n >= 2,
+            F::Nodes,
+            "a network needs at least two stations, got {n}"
+        );
+        ensure!(
+            Self::duration_fits(self.duration_s),
+            F::Duration,
+            "{:?} s is not positive, or its µTESLA interval count overflows u32 (past ~4.29e8 s)",
+            self.duration_s
+        );
+        ensure!(pc.m >= 1, F::M, "the aggressiveness m must be at least 1");
+        ensure!(
+            positive(pc.guard_fine_us),
+            F::Guard,
+            "the guard time δ must be positive, got {:?} µs",
+            pc.guard_fine_us
+        );
+        ensure!(
+            (0.0..1.0).contains(&self.per),
+            F::Per,
+            "the packet error rate must be in [0, 1), got {:?}",
+            self.per
+        );
+        if let Some(c) = self.churn {
+            // A period of 0 BPs would schedule departures without end.
+            let period_ok = c.period_s.is_finite() && self.bps(c.period_s) >= 1;
+            ensure!(
+                period_ok
+                    && (0.0..=1.0).contains(&c.fraction)
+                    && (0.0..f64::INFINITY).contains(&c.absence_s),
+                F::Churn,
+                "needs a period of at least one BP (0.05 s), a fraction in [0, 1] and an \
+                 absence >= 0, all finite; got {:?},{:?},{:?}",
+                c.period_s,
+                c.fraction,
+                c.absence_s
+            );
+        }
+        for &t in &self.ref_leaves_s {
+            // BPs count from 1: a departure at BP 0 would never fire.
+            ensure!(
+                t.is_finite() && self.bps(t) >= 1,
+                F::RefLeaves,
+                "a departure must be finite and round to BP 1 or later, got {t:?} s"
+            );
+        }
+        let window = |start: f64, end: f64| start >= 0.0 && end > start && end.is_finite();
+        if let Some(a) = self.attacker {
+            ensure!(
+                window(a.start_s, a.end_s) && a.error_us.is_finite(),
+                F::Attack,
+                "needs a finite window 0 <= start < end and a finite error, got {:?},{:?},{:?}",
+                a.start_s,
+                a.end_s,
+                a.error_us
+            );
+        }
+        for w in &self.jam_windows {
+            ensure!(
+                window(w.start_s, w.end_s),
+                F::Jam,
+                "needs a finite window 0 <= start < end, got {:?},{:?}",
+                w.start_s,
+                w.end_s
+            );
+        }
+        if let Some(c) = self.campaign {
+            let field = F::Campaign;
+            c.validate()
+                .map_err(|reason| ScenarioError { field, reason })?;
+            ensure!(
+                c.attackers <= self.max_attackers(),
+                field,
+                "campaign `attackers` = {} needs more stations than the scenario provides \
+                 ({n} total, {} compromisable)",
+                c.attackers,
+                self.compromisable()
+            );
+        }
+
         let Some(spec) = self.topology else {
             return Ok(None);
         };
-        let n = self.n_nodes;
-        let built = match spec {
+        Ok(Some(match spec {
             TopologySpec::Line => (Topology::line(n), None),
             TopologySpec::Ring => (Topology::ring(n), None),
-            TopologySpec::Grid { cols, rows } => {
-                assert_eq!(cols * rows, n, "grid must cover all stations");
-                (Topology::grid(cols, rows), None)
-            }
+            TopologySpec::Grid { cols, rows } => (Topology::grid(cols, rows), None),
             TopologySpec::RandomDisk { side, range } => {
                 let mut rng = RngStreams::new(self.seed).stream(StreamDomain::Scenario, 1);
-                let Some(topo) =
-                    Topology::try_random_disk(n, side, range, &mut rng, RANDOM_DISK_ATTEMPTS)
-                else {
-                    return Err(format!(
-                        "no connected placement of {n} stations in a {side} × {side} area \
-                         at range {range} ({RANDOM_DISK_ATTEMPTS} draws at seed {})",
+                let topo =
+                    Topology::try_random_disk(n, side, range, &mut rng, RANDOM_DISK_ATTEMPTS);
+                let Some(topo) = topo else {
+                    let reason = format!(
+                        "no connected placement of {n} stations in a {side} × {side} area at \
+                         range {range} ({RANDOM_DISK_ATTEMPTS} draws at seed {})",
                         self.seed
-                    ));
+                    );
+                    return Err(ScenarioError {
+                        field: F::Topology,
+                        reason,
+                    });
                 };
                 (topo, None)
             }
@@ -373,17 +651,16 @@ impl ScenarioConfig {
                 rows,
             } => {
                 let (topo, decomp) = Topology::bridged(domains, cols, rows);
-                assert_eq!(topo.len(), n, "bridged mesh must cover all stations");
                 (topo, Some(decomp))
             }
-        };
-        Ok(Some(built))
+        }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Network;
 
     #[test]
     fn paper_scenario_matches_section5() {
@@ -434,7 +711,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "two stations")]
     fn single_node_rejected() {
-        let _ = ScenarioConfig::new(ProtocolKind::Tsf, 1, 1.0, 0);
+        let cfg = ScenarioConfig::new(ProtocolKind::Tsf, 1, 1.0, 0);
+        assert_eq!(cfg.check().unwrap_err().field, ScenarioField::Nodes);
+        let _ = Network::build(&cfg);
     }
 
     #[test]
@@ -449,7 +728,198 @@ mod tests {
     #[test]
     #[should_panic(expected = "overflows u32")]
     fn overlong_duration_rejected() {
-        let _ = ScenarioConfig::new(ProtocolKind::Sstsp, 4, 1e12, 0);
+        let cfg = ScenarioConfig::new(ProtocolKind::Sstsp, 4, 1e12, 0);
+        assert_eq!(cfg.check().unwrap_err().field, ScenarioField::Duration);
+        let _ = Network::build(&cfg);
+    }
+
+    /// A small valid scenario with `edit` applied.
+    fn edited(edit: impl FnOnce(&mut ScenarioConfig)) -> ScenarioConfig {
+        let mut cfg = ScenarioConfig::new(ProtocolKind::Sstsp, 8, 5.0, 7);
+        edit(&mut cfg);
+        cfg
+    }
+
+    #[test]
+    fn check_rules_hold_at_their_boundaries() {
+        use ScenarioField as F;
+        let campaign = |spec: &str| Some(spec.parse::<CampaignSpec>().unwrap());
+        let window = |start_s, end_s| JamWindow { start_s, end_s };
+        let attack = |start_s, end_s| AttackerSpec {
+            start_s,
+            end_s,
+            error_us: 30.0,
+        };
+        let churn = |period_s, fraction, absence_s| ChurnConfig {
+            period_s,
+            fraction,
+            absence_s,
+        };
+        let rgg = |side, range| Some(TopologySpec::RandomDisk { side, range });
+        // (field, the boundary value, the first value past it)
+        let table: Vec<(F, ScenarioConfig, ScenarioConfig)> = vec![
+            (
+                F::Nodes,
+                edited(|c| c.n_nodes = 2),
+                edited(|c| c.n_nodes = 1),
+            ),
+            (
+                F::Duration,
+                edited(|c| c.duration_s = 4.29e8),
+                edited(|c| c.duration_s = 4.3e8),
+            ),
+            (
+                F::M,
+                edited(|c| c.protocol_config.m = 1),
+                edited(|c| c.protocol_config.m = 0),
+            ),
+            (
+                F::Guard,
+                edited(|c| c.protocol_config.guard_fine_us = f64::MIN_POSITIVE),
+                edited(|c| c.protocol_config.guard_fine_us = 0.0),
+            ),
+            (F::Per, edited(|c| c.per = 0.0), edited(|c| c.per = 1.0)),
+            (
+                F::Churn,
+                edited(|c| c.churn = Some(churn(0.05, 0.5, 1.0))),
+                edited(|c| c.churn = Some(churn(0.049, 0.5, 1.0))),
+            ),
+            (
+                F::Churn,
+                edited(|c| c.churn = Some(churn(1.0, 1.0, 0.0))),
+                edited(|c| c.churn = Some(churn(1.0, 1.0 + f64::EPSILON, 0.0))),
+            ),
+            (
+                F::Churn,
+                edited(|c| c.churn = Some(churn(1.0, 0.5, 0.0))),
+                edited(|c| c.churn = Some(churn(1.0, 0.5, -1e-9))),
+            ),
+            (
+                F::RefLeaves,
+                edited(|c| c.ref_leaves_s = vec![2.0, 0.05]),
+                edited(|c| c.ref_leaves_s = vec![2.0, 0.049]),
+            ),
+            (
+                F::Attack,
+                edited(|c| c.attacker = Some(attack(0.0, 1e-9))),
+                edited(|c| c.attacker = Some(attack(0.0, 0.0))),
+            ),
+            (
+                F::Jam,
+                edited(|c| c.jam_windows = vec![window(0.0, 1e-9)]),
+                edited(|c| c.jam_windows = vec![window(-1e-9, 1.0)]),
+            ),
+            // 8 stations field 6 attackers and keep 2 honest.
+            (
+                F::Campaign,
+                edited(|c| c.campaign = campaign("coalition:6:30:2:1:3")),
+                edited(|c| c.campaign = campaign("coalition:7:30:2:1:3")),
+            ),
+            // On 2 × 2 × 1 islands the island stations cap the coalition.
+            (
+                F::Campaign,
+                edited(|c| {
+                    *c = c.clone().with_topology(bridged(2, 2, 1));
+                    c.campaign = campaign("sybil:3:30:1:3");
+                }),
+                edited(|c| {
+                    *c = c.clone().with_topology(bridged(2, 2, 1));
+                    c.campaign = campaign("sybil:4:30:1:3");
+                }),
+            ),
+            (
+                F::Topology,
+                edited(|c| {
+                    c.n_nodes = 3;
+                    c.topology = Some(TopologySpec::Ring);
+                }),
+                edited(|c| {
+                    c.n_nodes = 2;
+                    c.topology = Some(TopologySpec::Ring);
+                }),
+            ),
+            // A mesh that fixes the station count must hold a network.
+            (
+                F::Topology,
+                edited(|c| {
+                    *c = c
+                        .clone()
+                        .with_topology(TopologySpec::Grid { cols: 2, rows: 1 })
+                }),
+                edited(|c| {
+                    *c = c
+                        .clone()
+                        .with_topology(TopologySpec::Grid { cols: 1, rows: 1 })
+                }),
+            ),
+            (
+                F::Topology,
+                edited(|c| c.topology = rgg(f64::MIN_POSITIVE, 1.0)),
+                edited(|c| c.topology = rgg(0.0, 1.0)),
+            ),
+            (
+                F::Topology,
+                edited(|c| c.topology = rgg(1.0, 2.0)),
+                edited(|c| c.topology = rgg(1.0, 0.0)),
+            ),
+            // Connectivity: a range past the diagonal connects any
+            // placement, and 8 stations 1000 apart at range 1 never do.
+            (
+                F::Topology,
+                edited(|c| c.topology = rgg(1000.0, 1415.0)),
+                edited(|c| c.topology = rgg(1000.0, 1.0)),
+            ),
+            (
+                F::Topology,
+                edited(|c| *c = c.clone().with_topology(bridged(2, 1, 1))),
+                edited(|c| *c = c.clone().with_topology(bridged(1, 1, 1))),
+            ),
+            (
+                F::Topology,
+                edited(|c| *c = c.clone().with_topology(bridged(2, 1, 1))),
+                edited(|c| *c = c.clone().with_topology(bridged(2, 0, 1))),
+            ),
+            (
+                F::Topology,
+                edited(|c| *c = c.clone().with_topology(bridged(2, 1, 1))),
+                edited(|c| *c = c.clone().with_topology(bridged(2, 1, 0))),
+            ),
+            // Cover: the mesh's station count is the scenario's.
+            (
+                F::Topology,
+                edited(|c| {
+                    c.n_nodes = 12;
+                    c.topology = Some(TopologySpec::Grid { cols: 4, rows: 3 });
+                }),
+                edited(|c| {
+                    c.n_nodes = 13;
+                    c.topology = Some(TopologySpec::Grid { cols: 4, rows: 3 });
+                }),
+            ),
+            (
+                F::Topology,
+                edited(|c| {
+                    c.n_nodes = 13;
+                    c.topology = Some(bridged(2, 3, 2));
+                }),
+                edited(|c| {
+                    c.n_nodes = 14;
+                    c.topology = Some(bridged(2, 3, 2));
+                }),
+            ),
+        ];
+        for (field, ok, bad) in table {
+            if let Err(e) = ok.check() {
+                panic!("boundary of {field:?} rejected: {e}");
+            }
+            assert_eq!(bad.check().map(|_| ()).unwrap_err().field, field, "{bad:?}");
+        }
+        // The u32 bound on a bridged mesh's station count. The largest
+        // count that fits is too large to build, so the check meets only
+        // the first count past it.
+        assert!(bridged(2, 2_147_483_647, 1).fits());
+        let past = edited(|c| *c = c.clone().with_topology(bridged(2, 2_147_483_648, 1)));
+        assert_eq!(past.check().map(|_| ()).unwrap_err().field, F::Topology);
     }
 
     fn bridged(domains: u32, cols: u32, rows: u32) -> TopologySpec {

@@ -11,9 +11,10 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 use rayon::prelude::*;
 use sstsp::invariants::Violation;
+use sstsp::scenario::TopologySpec;
 
 use crate::harness::run_case;
-use crate::plan::{CorruptField, FaultEvent, FaultKind, FaultPlan, FuzzCase, MeshSpec};
+use crate::plan::{CorruptField, FaultEvent, FaultKind, FaultPlan, FuzzCase};
 use crate::shrink::shrink;
 
 /// Fuzzer knobs. Defaults keep a full sweep under a couple of minutes.
@@ -109,9 +110,9 @@ pub fn random_case(rng: &mut ChaCha12Rng, max_events: usize) -> FuzzCase {
 pub fn random_mesh_case(rng: &mut ChaCha12Rng, max_events: usize) -> FuzzCase {
     let mut case = random_case(rng, max_events);
     let mesh = match rng.random_range(0..6u32) {
-        0 => MeshSpec::Line,
-        1 => MeshSpec::Ring,
-        _ => MeshSpec::Bridged {
+        0 => TopologySpec::Line,
+        1 => TopologySpec::Ring,
+        _ => TopologySpec::Bridged {
             domains: rng.random_range(2..=3),
             cols: rng.random_range(1..=3),
             rows: rng.random_range(1..=2),
@@ -122,7 +123,7 @@ pub fn random_mesh_case(rng: &mut ChaCha12Rng, max_events: usize) -> FuzzCase {
     for ev in &mut case.plan.events {
         retarget_nodes(&mut ev.kind, n);
     }
-    if let MeshSpec::Bridged { domains, .. } = mesh {
+    if let TopologySpec::Bridged { domains, .. } = mesh {
         if rng.random_bool(0.6) {
             let total_bps = case.total_bps();
             // Past BP 60 every domain has had time to elect a reference
@@ -184,7 +185,7 @@ pub fn random_campaign_case(rng: &mut ChaCha12Rng, max_events: usize) -> FuzzCas
     // Sybil floods and selective jamming target per-domain reference
     // election; coalitions attack the paper's single-hop IBSS directly.
     if !matches!(kind, CampaignKind::Coalition { .. }) {
-        case.mesh = Some(MeshSpec::Bridged {
+        case.mesh = Some(TopologySpec::Bridged {
             domains: rng.random_range(2..=3),
             cols: rng.random_range(2..=3),
             rows: rng.random_range(1..=2),

@@ -8,10 +8,10 @@
 
 use rayon::prelude::*;
 
-use sstsp::scenario::{CampaignKind, CampaignSpec};
+use sstsp::scenario::{CampaignKind, CampaignSpec, TopologySpec};
 
 use crate::harness::run_case;
-use crate::plan::{CorruptField, FaultEvent, FaultKind, FaultPlan, FuzzCase, MeshSpec};
+use crate::plan::{CorruptField, FaultEvent, FaultKind, FaultPlan, FuzzCase};
 
 /// One row of the fault matrix.
 #[derive(Debug)]
@@ -40,7 +40,7 @@ fn case_with(label_seed: u64, events: Vec<FaultEvent>) -> FuzzCase {
 
 /// A fault-free case carrying a coordinated-adversary campaign (and
 /// optionally the bridged mesh its kind targets).
-fn campaign_case(label_seed: u64, mesh: Option<MeshSpec>, campaign: CampaignSpec) -> FuzzCase {
+fn campaign_case(label_seed: u64, mesh: Option<TopologySpec>, campaign: CampaignSpec) -> FuzzCase {
     let mut case = case_with(label_seed, Vec::new());
     case.mesh = mesh;
     case.campaign = Some(campaign);
@@ -196,7 +196,7 @@ pub fn matrix_cases() -> Vec<(&'static str, FuzzCase)> {
             "Sybil candidacy flood (bridged)",
             campaign_case(
                 14,
-                Some(MeshSpec::Bridged {
+                Some(TopologySpec::Bridged {
                     domains: 2,
                     cols: 3,
                     rows: 2,
@@ -216,7 +216,7 @@ pub fn matrix_cases() -> Vec<(&'static str, FuzzCase)> {
             "reference-slot jammer (bridged)",
             campaign_case(
                 15,
-                Some(MeshSpec::Bridged {
+                Some(TopologySpec::Bridged {
                     domains: 2,
                     cols: 3,
                     rows: 2,

@@ -11,7 +11,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use sstsp::scenario::{CampaignSpec, ProtocolKind, ScenarioConfig, TopologySpec};
+use sstsp::scenario::{CampaignSpec, ProtocolKind, ScenarioConfig, ScenarioField, TopologySpec};
 
 /// Which field of a secured beacon a corruption fault damages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,142 +154,6 @@ pub struct FaultPlan {
     pub events: Vec<FaultEvent>,
 }
 
-/// The topology dimension of a fuzz case. `None` on a [`FuzzCase`] keeps
-/// the paper's single-hop IBSS; each variant maps onto a [`TopologySpec`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MeshSpec {
-    /// A path of stations.
-    Line,
-    /// A cycle of stations.
-    Ring,
-    /// Seeded unit-disk graph (side, radio range); the generator rejects
-    /// disconnected samples deterministically.
-    Rgg {
-        /// Square side length.
-        side: f64,
-        /// Radio range.
-        range: f64,
-    },
-    /// Bridged multi-collision-domain mesh; overrides the case's `n` with
-    /// the station count the decomposition requires.
-    Bridged {
-        /// Island count.
-        domains: u32,
-        /// Island grid columns.
-        cols: u32,
-        /// Island grid rows.
-        rows: u32,
-    },
-}
-
-impl MeshSpec {
-    /// The [`TopologySpec`] this mesh dimension materializes as.
-    pub fn topology(self) -> TopologySpec {
-        match self {
-            MeshSpec::Line => TopologySpec::Line,
-            MeshSpec::Ring => TopologySpec::Ring,
-            MeshSpec::Rgg { side, range } => TopologySpec::RandomDisk { side, range },
-            MeshSpec::Bridged {
-                domains,
-                cols,
-                rows,
-            } => TopologySpec::Bridged {
-                domains,
-                cols,
-                rows,
-            },
-        }
-    }
-}
-
-impl fmt::Display for MeshSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            MeshSpec::Line => write!(f, "line"),
-            MeshSpec::Ring => write!(f, "ring"),
-            MeshSpec::Rgg { side, range } => write!(f, "rgg:{side}:{range}"),
-            MeshSpec::Bridged {
-                domains,
-                cols,
-                rows,
-            } => write!(f, "bridged:{domains}:{cols}:{rows}"),
-        }
-    }
-}
-
-impl FromStr for MeshSpec {
-    type Err = SpecError;
-
-    fn from_str(s: &str) -> Result<Self, SpecError> {
-        let mut parts = s.split(':');
-        let head = parts.next().unwrap_or("");
-        let mut arg = |what: &str| {
-            parts
-                .next()
-                .ok_or_else(|| SpecError(format!("`{head}` mesh needs `{what}`")))
-        };
-        let mesh = match head {
-            "line" => MeshSpec::Line,
-            "ring" => MeshSpec::Ring,
-            "rgg" => MeshSpec::Rgg {
-                side: parse_num("side", arg("side")?)?,
-                range: parse_num("range", arg("range")?)?,
-            },
-            "bridged" => MeshSpec::Bridged {
-                domains: parse_num("domains", arg("domains")?)?,
-                cols: parse_num("cols", arg("cols")?)?,
-                rows: parse_num("rows", arg("rows")?)?,
-            },
-            _ => return Err(SpecError(format!("unknown mesh kind `{head}`"))),
-        };
-        if parts.next().is_some() {
-            return Err(SpecError(format!("trailing mesh args in `{s}`")));
-        }
-        // Value validation: a degenerate spec that parses but panics the
-        // topology generators (zero islands, empty island grid, zero-area
-        // disk) must be a named-token parse error, not a downstream panic.
-        match mesh {
-            MeshSpec::Rgg { side, range } => {
-                if !(side.is_finite() && side > 0.0) {
-                    return Err(SpecError(format!(
-                        "rgg `side` must be a positive finite number, got `{side}`"
-                    )));
-                }
-                if !(range.is_finite() && range > 0.0) {
-                    return Err(SpecError(format!(
-                        "rgg `range` must be a positive finite number, got `{range}`"
-                    )));
-                }
-            }
-            MeshSpec::Bridged {
-                domains,
-                cols,
-                rows,
-            } => {
-                if domains < 2 {
-                    return Err(SpecError(format!(
-                        "bridged `domains` must be at least 2, got `{domains}`"
-                    )));
-                }
-                if cols == 0 {
-                    return Err(SpecError("bridged `cols` must be at least 1".into()));
-                }
-                if rows == 0 {
-                    return Err(SpecError("bridged `rows` must be at least 1".into()));
-                }
-                if !mesh.topology().fits() {
-                    return Err(SpecError(format!(
-                        "bridged mesh `{s}` needs more than u32::MAX stations \
-                         (domains·cols·rows + domains − 1)"
-                    )));
-                }
-            }
-            MeshSpec::Line | MeshSpec::Ring => {}
-        }
-        Ok(mesh)
-    }
-}
-
 /// A fuzzer case: scenario dimensions plus the fault plan. `Display`
 /// produces the one-line spec; `FromStr` parses it back (round-trip exact —
 /// floats print in shortest-round-trip form).
@@ -305,8 +169,9 @@ pub struct FuzzCase {
     pub m: u32,
     /// Fine guard time δ, µs.
     pub guard_fine_us: f64,
-    /// Topology dimension (`None` = single-hop IBSS).
-    pub mesh: Option<MeshSpec>,
+    /// Topology dimension (`None` = single-hop IBSS). A grid or bridged
+    /// mesh fixes the station count and overrides `n`.
+    pub mesh: Option<TopologySpec>,
     /// Coordinated-adversary campaign (`None` = all stations honest).
     pub campaign: Option<CampaignSpec>,
     /// The fault schedule.
@@ -328,18 +193,6 @@ impl FuzzCase {
         }
     }
 
-    /// How many stations the case's mesh dimension can compromise: the
-    /// campaign takes the tail of the last *island* on bridged meshes
-    /// (gateways stay honest), the tail of the id space otherwise. The
-    /// second value is the effective total station count.
-    pub(crate) fn campaign_capacity(&self) -> (u32, u32) {
-        let Some(topo) = self.mesh.map(MeshSpec::topology) else {
-            return (self.n, self.n);
-        };
-        let total = topo.required_nodes().unwrap_or(self.n);
-        (topo.island_nodes().unwrap_or(total), total)
-    }
-
     /// Number of beacon periods this case simulates.
     pub fn total_bps(&self) -> u64 {
         self.scenario().total_bps()
@@ -352,11 +205,7 @@ impl FuzzCase {
     pub fn scenario(&self) -> ScenarioConfig {
         let mut cfg = ScenarioConfig::new(ProtocolKind::Sstsp, self.n, self.duration_s, self.seed);
         if let Some(mesh) = self.mesh {
-            let topo = mesh.topology();
-            if let Some(required) = topo.required_nodes() {
-                cfg.n_nodes = required;
-            }
-            cfg.topology = Some(topo);
+            cfg = cfg.with_topology(mesh);
         }
         cfg.campaign = self.campaign;
         cfg.protocol_config.m = self.m;
@@ -597,47 +446,19 @@ impl FromStr for FuzzCase {
             }
             let (k, v) = split_kv(token, "case dims")?;
             match k {
-                "n" => {
-                    let stations: u32 = parse_num(k, v)?;
-                    if stations < 2 {
-                        return Err(in_token(token)(SpecError(format!(
-                            "a network needs at least two stations, got `{stations}`"
-                        ))));
-                    }
-                    n = Some(stations);
-                }
-                "dur" => {
-                    let secs: f64 = parse_num(k, v)?;
-                    if !ScenarioConfig::duration_fits(secs) {
-                        return Err(in_token(token)(SpecError(format!(
-                            "`dur` must be a positive finite number of seconds whose \
-                             µTESLA interval count fits a u32, got `{v}`"
-                        ))));
-                    }
-                    dur = Some(secs);
-                }
+                "n" => n = Some(parse_num(k, v)?),
+                "dur" => dur = Some(parse_num(k, v)?),
                 "seed" => seed = Some(parse_num(k, v)?),
-                "m" => {
-                    let aggressiveness: u32 = parse_num(k, v)?;
-                    if aggressiveness < 1 {
-                        return Err(in_token(token)(SpecError(
-                            "the aggressiveness `m` must be at least 1".into(),
-                        )));
-                    }
-                    m = Some(aggressiveness);
-                }
-                "delta" => {
-                    let guard: f64 = parse_num(k, v)?;
-                    if !(guard.is_finite() && guard > 0.0) {
-                        return Err(in_token(token)(SpecError(format!(
-                            "the guard time `delta` must be a positive finite number of µs, \
-                             got `{v}`"
-                        ))));
-                    }
-                    delta = Some(guard);
-                }
+                "m" => m = Some(parse_num(k, v)?),
+                "delta" => delta = Some(parse_num(k, v)?),
                 "plan" => plan_seed = Some(parse_num(k, v)?),
-                "mesh" => mesh = Some(v.parse::<MeshSpec>().map_err(in_token(token))?),
+                "mesh" => {
+                    mesh = Some(
+                        v.parse::<TopologySpec>()
+                            .map_err(SpecError)
+                            .map_err(in_token(token))?,
+                    )
+                }
                 "campaign" => {
                     campaign = Some(
                         v.parse::<CampaignSpec>()
@@ -662,35 +483,26 @@ impl FromStr for FuzzCase {
                 events,
             },
         };
-        // Cross-dimension validation: a ring too small to close, a random
-        // geometric graph with no connected placement at this seed, or a
-        // campaign that parses on its own but compromises too many of this
-        // case's stations, must be a named-token parse error, not an engine
-        // assertion later.
-        match case.mesh {
-            Some(MeshSpec::Ring) if case.n < 3 => {
-                return Err(SpecError(format!(
-                    "`mesh=ring` needs at least 3 stations, got `n={}`",
-                    case.n
-                )));
-            }
-            Some(mesh @ MeshSpec::Rgg { .. }) => {
-                if let Err(e) = case.scenario().build_topology() {
-                    return Err(SpecError(format!("`mesh={mesh}`: {e}")));
-                }
-            }
-            _ => {}
-        }
-        if let Some(c) = case.campaign {
-            let (island, n_eff) = case.campaign_capacity();
-            if c.attackers >= island || c.attackers + 2 > n_eff {
-                return Err(SpecError(format!(
-                    "campaign `attackers` = {} needs more stations than the \
-                     case provides ({n_eff} total, {island} compromisable)",
-                    c.attackers
-                )));
-            }
-        }
+        // The scenario check owns every value rule; name the token that set
+        // the field it rejects.
+        case.scenario().check().map_err(|e| {
+            let key = match e.field {
+                ScenarioField::Nodes => "n",
+                ScenarioField::Duration => "dur",
+                ScenarioField::M => "m",
+                ScenarioField::Guard => "delta",
+                ScenarioField::Campaign => "campaign",
+                ScenarioField::Topology => "mesh",
+                // A case spec sets no other field.
+                _ => return SpecError(e.to_string()),
+            };
+            // The last token with the key set the value, as in the loop above.
+            let token = s
+                .split_whitespace()
+                .rfind(|t| t.split_once('=').is_some_and(|(k, _)| k == key))
+                .unwrap_or(key);
+            in_token(token)(SpecError(e.reason))
+        })?;
         Ok(case)
     }
 }
@@ -813,13 +625,14 @@ mod tests {
     #[test]
     fn mesh_dims_round_trip_and_materialize() {
         for mesh in [
-            MeshSpec::Line,
-            MeshSpec::Ring,
-            MeshSpec::Rgg {
+            TopologySpec::Line,
+            TopologySpec::Ring,
+            TopologySpec::Grid { cols: 3, rows: 3 },
+            TopologySpec::RandomDisk {
                 side: 4.5,
                 range: 1.25,
             },
-            MeshSpec::Bridged {
+            TopologySpec::Bridged {
                 domains: 2,
                 cols: 3,
                 rows: 2,
@@ -833,7 +646,7 @@ mod tests {
         }
         // Bridged overrides n with the derived station count (2·3·2 + 1).
         let mut case = FuzzCase::base(9, 20.0, 3);
-        case.mesh = Some(MeshSpec::Bridged {
+        case.mesh = Some(TopologySpec::Bridged {
             domains: 2,
             cols: 3,
             rows: 2,
@@ -850,7 +663,7 @@ mod tests {
         ));
         // Non-derived meshes keep the case's n.
         let mut case = FuzzCase::base(9, 20.0, 3);
-        case.mesh = Some(MeshSpec::Ring);
+        case.mesh = Some(TopologySpec::Ring);
         assert_eq!(case.scenario().n_nodes, 9);
         // Malformed mesh tokens are rejected.
         for bad in [
@@ -881,15 +694,18 @@ mod tests {
             ("bridged:2:65536:65536", "bridged:2:65536:65536"),
             ("bridged:4294967295:1:1", "bridged:4294967295:1:1"),
         ] {
-            let SpecError(msg) = bad.parse::<MeshSpec>().unwrap_err();
+            let spec = format!("n=8 dur=20 seed=1 m=4 delta=300 plan=0 mesh={bad}");
+            let SpecError(msg) = spec.parse::<FuzzCase>().unwrap_err();
             assert!(
                 msg.contains(&format!("`{token}`")),
                 "error for `{bad}` does not name `{token}`: {msg}"
             );
         }
-        // The smallest legal shapes and the largest count still parse.
+        // The smallest legal shapes and the largest count still parse: as
+        // syntax only, since the check builds a case's mesh and the largest
+        // is too large to build.
         for ok in ["bridged:2:1:1", "rgg:0.5:0.5", "bridged:2:2147483647:1"] {
-            ok.parse::<MeshSpec>()
+            ok.parse::<TopologySpec>()
                 .unwrap_or_else(|e| panic!("rejected `{ok}`: {e:?}"));
         }
     }
@@ -986,7 +802,7 @@ mod tests {
                     start_s: 8.0,
                     end_s: 20.0,
                 },
-                Some(MeshSpec::Bridged {
+                Some(TopologySpec::Bridged {
                     domains: 2,
                     cols: 3,
                     rows: 2,
@@ -999,7 +815,7 @@ mod tests {
                     start_s: 5.25,
                     end_s: 18.0,
                 },
-                Some(MeshSpec::Bridged {
+                Some(TopologySpec::Bridged {
                     domains: 2,
                     cols: 2,
                     rows: 2,

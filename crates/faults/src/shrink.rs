@@ -10,8 +10,10 @@
 //! minimum that still fails — and, being a plain [`FuzzCase`], replays from
 //! its one-line spec.
 
+use sstsp::scenario::TopologySpec;
+
 use crate::fuzz::retarget_nodes;
-use crate::plan::{FaultKind, FuzzCase, MeshSpec};
+use crate::plan::{FaultKind, FuzzCase};
 
 /// Smallest network the shrinker will try.
 const MIN_NODES: u32 = 4;
@@ -122,7 +124,7 @@ pub fn shrink<F: FnMut(&FuzzCase) -> bool>(mut case: FuzzCase, mut still_fails: 
                 progress = true;
             }
         }
-        if let Some(MeshSpec::Bridged {
+        if let Some(TopologySpec::Bridged {
             domains,
             cols,
             rows,
@@ -134,17 +136,14 @@ pub fn shrink<F: FnMut(&FuzzCase) -> bool>(mut case: FuzzCase, mut still_fails: 
                 (domains, cols, rows - 1),
             ];
             for (d, c, r) in smaller {
-                if d < 2 || c < 1 || r < 1 {
-                    continue;
-                }
                 let mut cand = case.clone();
-                cand.mesh = Some(MeshSpec::Bridged {
+                cand.mesh = Some(TopologySpec::Bridged {
                     domains: d,
                     cols: c,
                     rows: r,
                 });
                 retarget(&mut cand);
-                if still_fails(&cand) {
+                if cand.scenario().check().is_ok() && still_fails(&cand) {
                     case = cand;
                     progress = true;
                     break;
@@ -188,13 +187,12 @@ pub fn shrink<F: FnMut(&FuzzCase) -> bool>(mut case: FuzzCase, mut still_fails: 
 /// clamp the campaign's coalition into the candidate's station budget
 /// (dropping it when the budget can no longer field a valid coalition).
 fn retarget(cand: &mut FuzzCase) {
-    let n = cand.scenario().n_nodes;
+    let scenario = cand.scenario();
     for ev in &mut cand.plan.events {
-        retarget_nodes(&mut ev.kind, n);
+        retarget_nodes(&mut ev.kind, scenario.n_nodes);
     }
     if let Some(mut c) = cand.campaign {
-        let (island, n_eff) = cand.campaign_capacity();
-        let cap = island.saturating_sub(1).min(n_eff.saturating_sub(2));
+        let cap = scenario.max_attackers();
         cand.campaign = if cap < c.min_attackers() {
             None
         } else {
@@ -269,7 +267,7 @@ mod tests {
         // A failure that needs *some* bridged mesh: the mesh can't be
         // dropped, so the shrinker must walk the dimensions down instead.
         let mut case = FuzzCase::base(16, 40.0, 1);
-        case.mesh = Some(MeshSpec::Bridged {
+        case.mesh = Some(TopologySpec::Bridged {
             domains: 3,
             cols: 3,
             rows: 2,
@@ -283,7 +281,7 @@ mod tests {
             },
         }];
         let small = shrink(case, |c| {
-            matches!(c.mesh, Some(MeshSpec::Bridged { .. }))
+            matches!(c.mesh, Some(TopologySpec::Bridged { .. }))
                 && c.plan
                     .events
                     .iter()
@@ -291,7 +289,7 @@ mod tests {
         });
         assert_eq!(
             small.mesh,
-            Some(MeshSpec::Bridged {
+            Some(TopologySpec::Bridged {
                 domains: 2,
                 cols: 1,
                 rows: 1,
@@ -300,7 +298,7 @@ mod tests {
         );
         // A failure that doesn't need the mesh sheds it entirely.
         let mut case = FuzzCase::base(8, 20.0, 1);
-        case.mesh = Some(MeshSpec::Ring);
+        case.mesh = Some(TopologySpec::Ring);
         case.plan.events = vec![crate::plan::FaultEvent {
             start_bp: 10,
             end_bp: 10,

@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
-use sstsp::scenario::{CampaignKind, CampaignSpec};
-use sstsp_faults::plan::{CorruptField, FaultEvent, FaultKind, FaultPlan, FuzzCase, MeshSpec};
+use sstsp::scenario::{CampaignKind, CampaignSpec, TopologySpec};
+use sstsp_faults::plan::{CorruptField, FaultEvent, FaultKind, FaultPlan, FuzzCase};
 
 fn corrupt_field() -> BoxedStrategy<CorruptField> {
     prop_oneof![
@@ -61,22 +61,24 @@ fn fault_event() -> BoxedStrategy<FaultEvent> {
 }
 
 /// Every topology dimension, including `None` (single-hop IBSS).
-fn mesh() -> BoxedStrategy<Option<MeshSpec>> {
+fn mesh() -> BoxedStrategy<Option<TopologySpec>> {
     prop_oneof![
         Just(None),
-        Just(Some(MeshSpec::Line)),
-        Just(Some(MeshSpec::Ring)),
+        Just(Some(TopologySpec::Line)),
+        Just(Some(TopologySpec::Ring)),
+        // At least two columns, so the grid holds a network.
+        (2u32..6, 1u32..6).prop_map(|(cols, rows)| Some(TopologySpec::Grid { cols, rows })),
         // A range past the area's diagonal (√2·side) connects every
         // placement; the parser rejects an rgg mesh that has no connected
         // placement at the case's seed.
         (1.0..200.0, 1.5..3.0).prop_map(|(side, reach)| {
-            Some(MeshSpec::Rgg {
+            Some(TopologySpec::RandomDisk {
                 side,
                 range: side * reach,
             })
         }),
         (2u32..5, 1u32..5, 1u32..5).prop_map(|(domains, cols, rows)| {
-            Some(MeshSpec::Bridged {
+            Some(TopologySpec::Bridged {
                 domains,
                 cols,
                 rows,
@@ -135,24 +137,13 @@ fn fuzz_case() -> BoxedStrategy<FuzzCase> {
                 };
                 // A ring closes only from 3 stations on; the parser
                 // rejects smaller ones.
-                if case.mesh == Some(MeshSpec::Ring) {
+                if case.mesh == Some(TopologySpec::Ring) {
                     case.n = case.n.max(3);
                 }
                 if let Some((kind, raw_attackers, start_s, end_s)) = campaign {
                     // Clamp the coalition into the case's station budget;
                     // cases too small for a valid coalition stay honest.
-                    let (island, n_eff) = match case.mesh {
-                        Some(MeshSpec::Bridged {
-                            domains,
-                            cols,
-                            rows,
-                        }) => {
-                            let island = domains * cols * rows;
-                            (island, island + domains - 1)
-                        }
-                        _ => (case.n, case.n),
-                    };
-                    let cap = island.saturating_sub(1).min(n_eff.saturating_sub(2));
+                    let cap = case.scenario().max_attackers();
                     let mut spec = CampaignSpec {
                         kind,
                         attackers: raw_attackers,

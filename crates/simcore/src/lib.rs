@@ -11,8 +11,8 @@
 //!   wall-clock-free notion of "now";
 //! * [`RngStreams`] — counter-based derivation of independent, reproducible
 //!   random streams from a single `u64` master seed;
-//! * [`stats`] and [`series`] — online statistics and time-series recording
-//!   used by the experiment harness.
+//! * [`stats`] and [`series`] — histograms and time-series recording used
+//!   by the experiment harness.
 //!
 //! The engine is intentionally protocol-agnostic: the IEEE 802.11 beacon
 //! machinery lives in the `mac80211` crate and the synchronization protocols
@@ -44,5 +44,5 @@ pub use event::{EventQueue, ScheduledEvent};
 pub use rng::{CountingRng, RngStreams};
 pub use series::TimeSeries;
 pub use sim::{SimControl, Simulator};
-pub use stats::{Histogram, OnlineStats, QuantileEstimate};
+pub use stats::{Histogram, QuantileEstimate};
 pub use time::{SimDuration, SimTime};

@@ -157,7 +157,9 @@ for bad in "--jam 50,20" "--jam 20,20" "--attack 600,400,30" "--churn 0,0.5,10" 
     "--guard nan" "--guard 0" "--guard -300" "--m 0" \
     "--duration 1e300" "--duration 1e12" \
     "--mesh bridged:2:65536:65536" "--mesh bridged:4294967295:1:1" \
-    "--mesh rgg:1000:1" "--mesh rgg:100:5"; do
+    "--mesh rgg:1000:1" "--mesh rgg:100:5" \
+    "--per nan" "--per -1" "--per 1" "--per 2" "--churn 0.01,0.5,10" \
+    "--ref-leaves nan" "--ref-leaves -5"; do
     # shellcheck disable=SC2086
     expect_usage_error $bad --nodes 8
 done

@@ -24,15 +24,24 @@
 //! | `--attack START,END,ERROR_US` | fast-beacon attacker | off |
 //! | `--campaign SPEC` | coordinated-adversary campaign: `coalition:K:ERR:DELAY:START:END`, `sybil:K:ERR:START:END`, `jamref:K:START:END` | off |
 //! | `--jam START,END` | jamming window (repeatable) | none |
-//! | `--mesh SPEC` | mesh topology: `line`, `ring`, `rgg:SIDE:RANGE`, `bridged:D:C:R` | off |
+//! | `--mesh SPEC` | mesh topology: `line`, `ring`, `grid:C:R`, `rgg:SIDE:RANGE`, `bridged:D:C:R` | off |
 //! | `--chart` | print the ASCII spread chart | off |
 //! | `--csv PATH` | write the spread series as CSV | off |
 //!
-//! A `bridged` mesh fixes the station count to `D·C·R + D − 1` (islands
-//! plus gateways), overriding `--nodes`, and switches SSTSP to per-domain
-//! reference election; the run report then includes one line per collision
-//! domain. That count must fit a `u32`, a `ring` needs `--nodes` ≥ 3, and
-//! an `rgg` mesh must find a connected placement at the run's seed.
+//! A `grid` mesh fixes the station count to `C·R` and a `bridged` one to
+//! `D·C·R + D − 1` (islands plus gateways), overriding `--nodes`; a
+//! `bridged` mesh also switches SSTSP to per-domain reference election,
+//! and the run report then includes one line per collision domain.
+//!
+//! One function, `ScenarioConfig::check`, judges every value, here and in
+//! `trace` case specs, and a value it rejects exits 2 naming its flag. A
+//! run needs ≥ 2 stations; a positive duration whose µTESLA interval count
+//! fits a `u32` (~4.29e8 s); m ≥ 1; δ > 0; PER in [0, 1); a churn period of
+//! ≥ 1 BP (0.05 s), fraction in [0, 1], absence ≥ 0; reference departures
+//! at BP ≥ 1; windows with 0 ≤ start < end; a campaign that leaves an
+//! honest island station and two honest stations; `D` ≥ 2, `C`, `R` ≥ 1
+//! within `u32`; `SIDE`, `RANGE` > 0 with a connected placement at the
+//! seed; a `ring` of ≥ 3. Every number must be finite.
 //!
 //! The `trace` subcommand runs a fault-plan case spec — the same one-line
 //! format the scenario fuzzer prints for failing cases — under trace
@@ -51,9 +60,9 @@
 //! writes the regenerated trace (byte-identical to the input for a
 //! faithful recording). Unreadable or schema-mismatched traces exit 2.
 
-use sstsp::scenario::{AttackerSpec, CampaignSpec, ChurnConfig, JamWindow};
+use sstsp::scenario::{AttackerSpec, ChurnConfig, JamWindow, ScenarioField, TopologySpec};
 use sstsp::{Network, ProtocolKind, ScenarioConfig};
-use sstsp_faults::plan::{FuzzCase, MeshSpec};
+use sstsp_faults::plan::FuzzCase;
 use sstsp_faults::{replay_trace, run_case_traced, to_replayable_jsonl};
 
 fn usage(msg: &str) -> ! {
@@ -227,21 +236,20 @@ fn run_replay(args: &[String]) -> ! {
     })
 }
 
-/// Reject a malformed `start..end` sim-time window: non-finite bounds,
-/// negative start, or an empty/inverted window.
-fn validate_window(flag: &str, start: f64, end: f64) {
-    if !start.is_finite() || !end.is_finite() {
-        usage(&format!(
-            "{flag}: window bounds must be finite (got {start}..{end})"
-        ));
-    }
-    if start < 0.0 {
-        usage(&format!("{flag}: window start must be >= 0 (got {start})"));
-    }
-    if end <= start {
-        usage(&format!(
-            "{flag}: window must satisfy end > start (got {start}..{end})"
-        ));
+/// The flag that sets a scenario field.
+fn flag_for(field: ScenarioField) -> &'static str {
+    match field {
+        ScenarioField::Nodes => "--nodes",
+        ScenarioField::Duration => "--duration",
+        ScenarioField::M => "--m",
+        ScenarioField::Guard => "--guard",
+        ScenarioField::Per => "--per",
+        ScenarioField::Churn => "--churn",
+        ScenarioField::RefLeaves => "--ref-leaves",
+        ScenarioField::Attack => "--attack",
+        ScenarioField::Jam => "--jam",
+        ScenarioField::Campaign => "--campaign",
+        ScenarioField::Topology => "--mesh",
     }
 }
 
@@ -253,20 +261,8 @@ fn main() {
     if args.first().map(String::as_str) == Some("replay") {
         run_replay(&args[1..]);
     }
-    let mut protocol = ProtocolKind::Sstsp;
-    let mut nodes = 50u32;
-    let mut duration = 60.0f64;
-    let mut seed = 1u64;
-    let mut m = None::<u32>;
-    let mut l = None::<u32>;
-    let mut guard = None::<f64>;
-    let mut per = None::<f64>;
-    let mut churn = None::<ChurnConfig>;
-    let mut ref_leaves: Vec<f64> = Vec::new();
-    let mut attack = None::<AttackerSpec>;
-    let mut campaign = None::<CampaignSpec>;
-    let mut jams: Vec<JamWindow> = Vec::new();
-    let mut mesh = None::<MeshSpec>;
+    let mut cfg = ScenarioConfig::new(ProtocolKind::Sstsp, 50, 60.0, 1);
+    let mut mesh = None::<TopologySpec>;
     let mut chart = false;
     let mut csv = None::<String>;
 
@@ -279,7 +275,7 @@ fn main() {
         };
         match flag.as_str() {
             "--protocol" => {
-                protocol = match val().to_lowercase().as_str() {
+                cfg.protocol = match val().to_lowercase().as_str() {
                     "tsf" => ProtocolKind::Tsf,
                     "atsp" => ProtocolKind::Atsp,
                     "tatsp" => ProtocolKind::Tatsp,
@@ -290,76 +286,37 @@ fn main() {
                     other => usage(&format!("unknown protocol '{other}'")),
                 }
             }
-            "--nodes" => nodes = val().parse().unwrap_or_else(|_| usage("bad --nodes")),
+            "--nodes" => cfg.n_nodes = val().parse().unwrap_or_else(|_| usage("bad --nodes")),
             "--duration" => {
-                let v = val();
-                duration = v.parse().unwrap_or_else(|_| usage("bad --duration"));
-                if !ScenarioConfig::duration_fits(duration) {
-                    usage(&format!(
-                        "--duration {v}: must be a finite positive number of seconds \
-                         whose µTESLA interval count fits a u32 (at most ~4.29e8 s)"
-                    ));
-                }
+                cfg = cfg.with_duration(val().parse().unwrap_or_else(|_| usage("bad --duration")))
             }
-            "--seed" => seed = val().parse().unwrap_or_else(|_| usage("bad --seed")),
-            "--m" => {
-                let v = val();
-                let parsed: u32 = v.parse().unwrap_or_else(|_| usage("bad --m"));
-                if parsed < 1 {
-                    usage(&format!("--m {v}: the aggressiveness m must be at least 1"));
-                }
-                m = Some(parsed);
-            }
-            "--l" => l = Some(val().parse().unwrap_or_else(|_| usage("bad --l"))),
+            "--seed" => cfg.seed = val().parse().unwrap_or_else(|_| usage("bad --seed")),
+            "--m" => cfg.protocol_config.m = val().parse().unwrap_or_else(|_| usage("bad --m")),
+            "--l" => cfg.protocol_config.l = val().parse().unwrap_or_else(|_| usage("bad --l")),
             "--guard" => {
-                let v = val();
-                let parsed: f64 = v.parse().unwrap_or_else(|_| usage("bad --guard"));
-                if !(parsed.is_finite() && parsed > 0.0) {
-                    usage(&format!(
-                        "--guard {v}: the guard time δ must be a finite positive number of µs"
-                    ));
-                }
-                guard = Some(parsed);
+                cfg.protocol_config.guard_fine_us =
+                    val().parse().unwrap_or_else(|_| usage("bad --guard"))
             }
-            "--per" => per = Some(val().parse().unwrap_or_else(|_| usage("bad --per"))),
+            "--per" => cfg.per = val().parse().unwrap_or_else(|_| usage("bad --per")),
             "--churn" => {
                 let v = parse_list(&val(), 3, "--churn");
-                if !v.iter().all(|x| x.is_finite()) {
-                    usage("--churn: values must be finite");
-                }
-                if v[0] <= 0.0 {
-                    usage(&format!("--churn: period must be > 0 (got {})", v[0]));
-                }
-                if !(0.0..=1.0).contains(&v[1]) {
-                    usage(&format!(
-                        "--churn: fraction must be in [0, 1] (got {})",
-                        v[1]
-                    ));
-                }
-                if v[2] < 0.0 {
-                    usage(&format!("--churn: absence must be >= 0 (got {})", v[2]));
-                }
-                churn = Some(ChurnConfig {
+                cfg.churn = Some(ChurnConfig {
                     period_s: v[0],
                     fraction: v[1],
                     absence_s: v[2],
                 });
             }
-            "--ref-leaves" => ref_leaves = parse_list(&val(), 0, "--ref-leaves"),
+            "--ref-leaves" => cfg.ref_leaves_s = parse_list(&val(), 0, "--ref-leaves"),
             "--attack" => {
                 let v = parse_list(&val(), 3, "--attack");
-                validate_window("--attack", v[0], v[1]);
-                if !v[2].is_finite() {
-                    usage(&format!("--attack: error_us must be finite (got {})", v[2]));
-                }
-                attack = Some(AttackerSpec {
+                cfg.attacker = Some(AttackerSpec {
                     start_s: v[0],
                     end_s: v[1],
                     error_us: v[2],
                 });
             }
             "--campaign" => {
-                campaign = Some(
+                cfg.campaign = Some(
                     val()
                         .parse()
                         .unwrap_or_else(|e| usage(&format!("bad --campaign: {e}"))),
@@ -367,8 +324,7 @@ fn main() {
             }
             "--jam" => {
                 let v = parse_list(&val(), 2, "--jam");
-                validate_window("--jam", v[0], v[1]);
-                jams.push(JamWindow {
+                cfg.jam_windows.push(JamWindow {
                     start_s: v[0],
                     end_s: v[1],
                 });
@@ -386,69 +342,19 @@ fn main() {
         }
     }
 
-    if nodes < 2 {
-        usage(&format!(
-            "--nodes must be at least 2, a network needs two stations (got {nodes})"
-        ));
+    if let Some(mesh) = mesh {
+        cfg = cfg.with_topology(mesh);
     }
-    if mesh == Some(MeshSpec::Ring) && nodes < 3 {
-        usage(&format!(
-            "--mesh ring needs at least 3 stations, a smaller ring does not close (got --nodes {nodes})"
-        ));
-    }
-
-    let mut cfg = ScenarioConfig::new(protocol, nodes, duration, seed);
-    if let Some(m) = m {
-        cfg = cfg.with_m(m);
-    }
-    if let Some(l) = l {
-        cfg = cfg.with_l(l);
-    }
-    if let Some(g) = guard {
-        cfg.protocol_config.guard_fine_us = g;
-    }
-    if let Some(p) = per {
-        cfg.per = p;
-    }
-    cfg.churn = churn;
-    cfg.ref_leaves_s = ref_leaves;
-    cfg.attacker = attack;
-    cfg.jam_windows = jams;
-    if let Some(m) = mesh {
-        let topo = m.topology();
-        if let Some(required) = topo.required_nodes() {
-            cfg.n_nodes = required;
-        }
-        cfg.topology = Some(topo);
-        // A random geometric graph with no connected placement at this
-        // seed and station count is a usage error, not an engine panic.
-        if let Err(e) = cfg.build_topology() {
-            usage(&format!("--mesh {m}: {e}"));
-        }
-    }
-    if let Some(c) = campaign {
-        cfg.campaign = Some(c);
-        // Validate the coalition against the (possibly mesh-derived)
-        // station budget here so a bad flag is a usage error, not an
-        // engine assertion.
-        let island = cfg
-            .topology
-            .and_then(|t| t.island_nodes())
-            .unwrap_or(cfg.n_nodes);
-        if c.attackers >= island || c.attackers + 2 > cfg.n_nodes {
-            usage(&format!(
-                "--campaign: `attackers` = {} needs more stations than the \
-                 scenario provides ({} total, {island} compromisable)",
-                c.attackers, cfg.n_nodes
-            ));
-        }
+    if let Err(e) = cfg.check() {
+        usage(&format!("{}: {}", flag_for(e.field), e.reason));
     }
 
     eprintln!(
-        "running {} × {} stations for {} s (seed {seed})...",
+        "running {} × {} stations for {} s (seed {})...",
         cfg.protocol.name(),
         cfg.n_nodes,
-        cfg.duration_s
+        cfg.duration_s,
+        cfg.seed
     );
     let r = Network::build(&cfg).run();
 
