@@ -1,28 +1,37 @@
 //! The network simulation engine.
 //!
-//! One [`Network`] instance simulates one IBSS for one scenario. Per beacon
-//! period it:
+//! One [`Network`] instance simulates one IBSS (or mesh) for one scenario.
+//! [`Network::run_with_hook`] takes it through the beacon periods in one
+//! loop, six named stages per BP, each a method on the run's state:
 //!
-//! 1. applies churn (departures / returns) and jamming windows,
-//! 2. collects every present station's beacon intent and resolves the
-//!    beacon generation window on the shared channel,
-//! 3. delivers a successful beacon to every present receiver at the correct
-//!    reception instant (each receiver timestamps it with its *own*
-//!    drifting clock), subject to independent packet-error draws,
-//! 4. gives transmit feedback, closes the BP, and samples the maximum
-//!    pairwise difference of the honest stations' synchronized clocks.
+//! 1. **events** — the hook's fault actions, rejoins, churn, reference
+//!    departures, and the jamming flag;
+//! 2. **intents** — every present station's beacon intent, served from
+//!    the [`NodeSoa`] mirror when the protocol predicted it;
+//! 3. **window + delivery** — resolves the beacon generation window,
+//!    makes each transmitted beacon, and delivers it to every receiver at
+//!    the correct reception instant (each receiver timestamps it with its
+//!    *own* drifting clock), subject to independent packet-error draws;
+//! 4. **bp_end** — the end-of-BP callbacks, fused with the SoA refresh
+//!    and the clock reads of the spread metric;
+//! 5. **metrics** — samples the maximum pairwise difference of the honest
+//!    stations' synchronized clocks;
+//! 6. **tail** — reference tracking and the hook's end-of-BP view.
 //!
-//! Because the IBSS is a single collision domain, the entire beacon window
-//! outcome is determined at the window start — there is no event that could
-//! interleave mid-window — so deliveries are computed inline at their exact
-//! reception times rather than round-tripping through the event heap. The
-//! heap-based [`simcore::Simulator`] drives the BP sequence itself, which
-//! keeps the time bookkeeping honest (monotone, horizon-checked).
+//! `SSTSP_PROF=1 SSTSP_LOG=info` logs each run's node-initiation time and
+//! the wall time of each stage (`engine.prof`).
+//!
+//! A collision domain's beacon window outcome is determined at the window
+//! start — there is no event that could interleave mid-window — so
+//! deliveries are computed inline at their exact reception times rather
+//! than round-tripping through the event heap. The heap-based
+//! [`simcore::Simulator`] drives the BP sequence itself, which keeps the
+//! time bookkeeping honest (monotone, horizon-checked).
 
 use crate::instrument::{
     BpView, DeliveryCtx, DeliveryFate, DeliveryObs, EngineHook, FaultAction, NodeSnapshot, NoopHook,
 };
-use crate::kernel::{BpTimeline, NodeSoa};
+use crate::kernel::NodeSoa;
 use crate::scenario::{ProtocolKind, ScenarioConfig};
 use attacks::{AttackWindow, CampaignMember, FastBeaconAttacker};
 use clocks::Oscillator;
@@ -40,6 +49,7 @@ use simcore::{
 };
 use sstsp_telemetry as telemetry;
 use std::sync::Arc;
+use std::time::Instant;
 use sync_analysis::{SpreadTracker, SyncCriterion};
 use wireless::{
     Channel, Delivery, DomainDecomposition, MeshResolver, MhAttempt, MhDelivery, PhyParams,
@@ -166,7 +176,8 @@ impl Scratch {
     }
 }
 
-/// Run-level scratch block for the engine's hot-loop telemetry counters.
+/// Run-level scratch block for the engine's hot-loop telemetry counters,
+/// which are also the run's window tallies.
 ///
 /// The hot loop increments these plain `u64`s unconditionally — cheaper
 /// than even the relaxed-atomic enabled check a `counter_add` call starts
@@ -198,10 +209,10 @@ struct BpCounters {
 }
 
 impl BpCounters {
-    /// Flush every non-zero counter to the registry shard (one lock) and
-    /// zero the block. A no-op beyond the zeroing when telemetry is off.
+    /// Flush every non-zero counter to the registry shard (one lock). A
+    /// no-op when telemetry is off.
     #[inline]
-    fn flush(&mut self) {
+    fn flush(&self) {
         telemetry::counter_add_many(&[
             ("engine.window.silent", self.window_silent),
             ("engine.window.jammed", self.window_jammed),
@@ -215,7 +226,6 @@ impl BpCounters {
             ("engine.intent.cached", self.intent_cached),
             ("engine.intent.called", self.intent_called),
         ]);
-        *self = BpCounters::default();
     }
 }
 
@@ -225,16 +235,14 @@ pub struct Network {
     phy: PhyParams,
     window: ContentionWindow,
     channel: Channel,
-    nodes: Vec<Box<dyn SyncProtocol>>,
-    oscs: Vec<Oscillator>,
-    present: Vec<bool>,
-    honest: Vec<bool>,
-    proto_rngs: Vec<ChaCha12Rng>,
+    st: Stations,
     backoff_rngs: Vec<ChaCha12Rng>,
-    chan_rng: ChaCha12Rng,
-    jitter_rng: ChaCha12Rng,
+    // Transparent draw-count wrappers: the wrapped streams are
+    // bit-identical to the bare ones, so telemetry on RNG consumption
+    // cannot perturb the run.
+    chan_rng: CountingRng<ChaCha12Rng>,
+    jitter_rng: CountingRng<ChaCha12Rng>,
     scenario_rng: ChaCha12Rng,
-    anchors: AnchorRegistry,
     topology: Option<Topology>,
     /// The mesh's collision-domain decomposition (bridged meshes only). It
     /// switches SSTSP to per-domain election and gives `CrashDomain` and
@@ -245,19 +253,6 @@ pub struct Network {
     /// nothing else reads it.
     station_domains: Option<DomainDecomposition>,
     scratch: Scratch,
-}
-
-/// Context builder that splits borrows of the engine's parallel arrays.
-macro_rules! node_ctx {
-    ($proto_rngs:expr, $anchors:expr, $pcfg:expr, $id:expr, $local:expr) => {
-        NodeCtx {
-            id: $id as NodeId,
-            local_us: $local,
-            rng: &mut $proto_rngs[$id as usize],
-            anchors: $anchors,
-            config: $pcfg,
-        }
-    };
 }
 
 /// Read the [`NodeSoa`] mirror of the trait query `$q` for station `$i`.
@@ -397,20 +392,25 @@ impl Network {
             phy,
             window: ContentionWindow::new(sc.protocol_config.w, phy.slot_us),
             channel: Channel::new(sc.per),
-            nodes,
-            oscs,
-            present: vec![true; n],
-            honest,
-            proto_rngs: (0..n)
-                .map(|i| streams.stream(StreamDomain::Protocol, i as u64))
-                .collect(),
+            st: Stations {
+                nodes,
+                oscs,
+                rngs: (0..n)
+                    .map(|i| streams.stream(StreamDomain::Protocol, i as u64))
+                    .collect(),
+                anchors: AnchorRegistry::new(),
+                config: sc.protocol_config.clone(),
+                present: vec![true; n],
+                honest,
+                absent: 0,
+                returns: Vec::new(),
+            },
             backoff_rngs: (0..n)
                 .map(|i| streams.stream(StreamDomain::MacBackoff, i as u64))
                 .collect(),
-            chan_rng: streams.stream(StreamDomain::ChannelError, 0),
-            jitter_rng: streams.stream(StreamDomain::TimestampJitter, 0),
+            chan_rng: CountingRng::new(streams.stream(StreamDomain::ChannelError, 0)),
+            jitter_rng: CountingRng::new(streams.stream(StreamDomain::TimestampJitter, 0)),
             scenario_rng: streams.stream(StreamDomain::Scenario, 0),
-            anchors: AnchorRegistry::new(),
             topology,
             domains,
             station_domains,
@@ -426,154 +426,24 @@ impl Network {
 
     /// Run the scenario with an [`EngineHook`] attached (fault injection,
     /// invariant checking, trace recording). Every run takes the same
-    /// beacon-period loop; an active hook receives its per-event callbacks
-    /// from inside it. Running with [`NoopHook`] — or any hook that neither
-    /// drops nor mutates deliveries nor emits fault actions — is
-    /// bit-identical to [`Network::run`]: the hook only ever sees copies,
-    /// and no engine RNG stream is consulted on its behalf.
+    /// beacon-period loop, the six stages of the module docs; an active
+    /// hook receives its per-event callbacks from inside them. Running
+    /// with [`NoopHook`] — or any hook that neither drops nor mutates
+    /// deliveries nor emits fault actions — is bit-identical to
+    /// [`Network::run`]: the hook only ever sees copies, and no engine RNG
+    /// stream is consulted on its behalf.
     pub fn run_with_hook(self, hook: &mut dyn EngineHook) -> RunResult {
-        let active = hook.active();
-        let pcfg: ProtocolConfig = self.scenario.protocol_config.clone();
-        let bp = SimDuration::from_us_f64(pcfg.bp_us);
-        let total_bps = self.scenario.total_bps();
-        let horizon = SimTime::ZERO + bp * (total_bps + 1);
-        // Precompute churn departure instants (BP indices).
-        let sc = &self.scenario;
-        let churn_bps: Vec<u64> = match sc.churn {
-            Some(c) => {
-                let period_bps = sc.bps(c.period_s);
-                (1..)
-                    .map(|k| k * period_bps)
-                    .take_while(|&b| b < total_bps)
-                    .collect()
-            }
-            None => Vec::new(),
-        };
-        let churn_absence_bps = sc.churn.map(|c| sc.bps(c.absence_s)).unwrap_or(0);
-        let ref_leave_bps: Vec<u64> = sc.ref_leaves_s.iter().map(|&s| sc.bps(s)).collect();
-        let ref_absence_bps = sc.bps(sc.ref_absence_s);
-
-        // Quiescent-BP timeline: which BPs have *any* scheduled scenario
-        // event (churn/reference departure, jam window, attacker or
-        // campaign window). Quiet BPs skip the per-BP event scans.
-        let windows_s: Vec<(f64, f64)> = self
-            .scenario
-            .jam_windows
-            .iter()
-            .map(|w| (w.start_s, w.end_s))
-            .chain(self.scenario.attacker.map(|a| (a.start_s, a.end_s)))
-            .chain(self.scenario.campaign.map(|c| (c.start_s, c.end_s)))
-            .collect();
-        let timeline = BpTimeline::build(total_bps, bp, &churn_bps, &ref_leave_bps, &windows_s);
-
-        // (bp index, station) pairs due to rejoin.
-        let mut returns: Vec<(u64, u32)> = Vec::new();
-
-        let mut tracker = SpreadTracker::new(format!(
-            "{} N={}",
-            self.scenario.protocol.name(),
-            self.scenario.n_nodes
-        ));
-        let mut tx_successes = 0u64;
-        let mut tx_collisions = 0u64;
-        let mut silent_windows = 0u64;
-        let mut jammed_windows = 0u64;
-        let mut reference_changes = 0u64;
-        let mut last_reference: Option<NodeId> = None;
-        let mut attacker_became_reference = false;
-
-        // Destructure for borrow-friendly access inside the loop.
-        let Network {
-            scenario,
-            phy,
-            window,
-            mut channel,
-            mut nodes,
-            mut oscs,
-            mut present,
-            honest,
-            mut proto_rngs,
-            mut backoff_rngs,
-            chan_rng,
-            jitter_rng,
-            mut scenario_rng,
-            mut anchors,
-            topology,
-            domains,
-            station_domains,
-            mut scratch,
-            ..
-        } = self;
-        // Transparent draw-count wrappers: the wrapped streams are
-        // bit-identical to the bare ones, so telemetry on RNG consumption
-        // cannot perturb the run.
-        let mut chan_rng = CountingRng::new(chan_rng);
-        let mut jitter_rng = CountingRng::new(jitter_rng);
-
-        // Stations under adversary control: the lone attacker and every
-        // campaign member (reference capture is tracked for all of them).
-        let adversary_ids: Vec<NodeId> = (0..scenario.n_nodes)
-            .filter(|&i| !honest[i as usize])
-            .collect();
-
-        // One tick per run; perfbench's ledger counts runs by it.
-        telemetry::counter_add("engine.path.fast", 1);
-        // Dense node state (static intents, affine clocks, reference and
-        // sync flags) the per-BP scans read instead of making trait calls.
-        // A pure cache: refreshed after init, rejoin and every end-of-BP
-        // callback, and debug builds check each read against the trait.
-        let mut soa = NodeSoa::new(scenario.n_nodes as usize);
         // Any topology resolves its windows through one reusable resolver,
         // bucketed by the mesh decomposition or by one domain per station.
-        let mut mesh_resolver = topology.as_ref().map(|t| {
-            let d = domains.as_ref().or(station_domains.as_ref());
+        let mut resolver = self.topology.as_ref().map(|t| {
+            let d = self.domains.as_ref().or(self.station_domains.as_ref());
             MeshResolver::new(t, d.expect("every topology has a decomposition"))
         });
+        let mut clock = StageClock::new(std::env::var("SSTSP_PROF").is_ok());
+        let mut run = Run::start(self, hook, &clock);
 
-        // Coarse per-phase wall-clock accounting for the BP loop, emitted
-        // at run end through the structured log (`engine.prof`, info level
-        // — so `SSTSP_PROF=1 SSTSP_LOG=info`). Off, it costs one branch
-        // per phase boundary per BP.
-        let prof = std::env::var("SSTSP_PROF").is_ok();
-        let mut prof_ns = [0u128; 6];
-
-        // Node initiation (seed draw + deferred anchor registration).
-        let t_init = std::time::Instant::now();
-        for id in 0..scenario.n_nodes {
-            let local = oscs[id as usize].local_us(SimTime::ZERO);
-            let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-            nodes[id as usize].init(&mut ctx);
-            soa.refresh(id as usize, &*nodes[id as usize], &pcfg);
-        }
-        if prof {
-            telemetry::log::info("engine.prof", || {
-                format!(
-                    "prof      init: {:8.3} ms",
-                    t_init.elapsed().as_secs_f64() * 1e3
-                )
-            });
-        }
-        hook.on_run_start(&scenario, &anchors);
-
-        // Fault-layer state: actions collected at each BP start, and the
-        // fault-layer jamming flag OR-ed with the scenario's jam windows.
-        let mut fault_actions: Vec<FaultAction> = Vec::new();
-        let mut fault_jam = false;
-        // Hot-loop telemetry is batched: plain increments during the BP,
-        // one shard flush per run (see `BpCounters`). The per-BP spread
-        // sample accumulates into a local histogram folded in at run end
-        // the same way (`dist_merge`).
-        let mut bp_counters = BpCounters::default();
-        let mut spread_hist: Option<Histogram> = None;
-        // Tracks whether every station is currently present; maintained at
-        // each non-quiet BP so the mesh delivery filter can be skipped in
-        // the (overwhelmingly common) full-membership case.
-        let mut all_present = present.iter().all(|&p| p);
-        let mut snapshots: Vec<NodeSnapshot> =
-            Vec::with_capacity(if active { scenario.n_nodes as usize } else { 0 });
-
-        let mut sim: Simulator<u64> = Simulator::new(horizon);
-        if active {
+        let mut sim: Simulator<u64> = Simulator::new(run.horizon());
+        if run.active {
             // Instrumented runs also cross-check simcore's event ordering
             // from the outside via the probe hook.
             let mut last = SimTime::ZERO;
@@ -582,595 +452,866 @@ impl Network {
                 last = t;
             }));
         }
-        sim.schedule_at(SimTime::ZERO + bp, 1u64);
-
+        sim.schedule_at(SimTime::ZERO + run.bp, 1u64);
         sim.run(|sim, ev| {
-            let k: u64 = ev.payload;
-            let t0 = ev.time;
-            let mut prof_t = prof.then(std::time::Instant::now);
-            macro_rules! lap {
-                ($i:expr) => {
-                    if let Some(t) = prof_t.as_mut() {
-                        let n = std::time::Instant::now();
-                        prof_ns[$i] += n.duration_since(*t).as_nanos();
-                        *t = n;
-                    }
-                };
-            }
-            // Take a station off the air at the BP start (no-op if it is
-            // already absent), queueing its rejoin for BP `rejoin_at`.
-            macro_rules! depart {
-                ($id:expr, $rejoin_at:expr) => {{
-                    let id: NodeId = $id;
-                    if present[id as usize] {
-                        present[id as usize] = false;
-                        let local = oscs[id as usize].local_us(t0);
-                        let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                        nodes[id as usize].on_leave(&mut ctx);
-                        if let Some(due) = $rejoin_at {
-                            returns.push((due, id));
-                        }
-                    }
-                }};
-            }
-            // Put `station` on the air in `slot`: make its beacon and list
-            // it in `scratch.on_air` for the delivery loop. Evaluates to the
-            // transmitter's jittered local timestamp.
-            macro_rules! transmit {
-                ($station:expr, $slot:expr) => {{
-                    let station: NodeId = $station;
-                    let t_tx = t0 + window.delay_of($slot);
-                    bp_counters.beacon_tx += 1;
-                    if active {
-                        hook.on_beacon_tx(k, station, t_tx);
-                    }
-                    // Sub-µs hardware timestamping jitter.
-                    let jitter = jitter_rng.random_range(0.0..=scenario.timestamp_jitter_us);
-                    let tx_local = oscs[station as usize].local_us(t_tx) + jitter;
-                    let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, station, tx_local);
-                    let payload = nodes[station as usize].make_beacon(&mut ctx);
-                    scratch.on_air_of[station as usize] = scratch.on_air.len() as u32;
-                    scratch.on_air.push(OnAir {
-                        payload,
-                        t_rx: t_tx + phy.beacon_airtime(payload.is_secured()) + phy.propagation(),
-                        reached: false,
-                    });
-                    tx_local
-                }};
-            }
-
-            // Anything that perturbs the network this BP (churn, departures,
-            // jamming, attacker activity, fault injections, reference
-            // changes); convergence invariants suspend after disturbances.
-            let mut disturbed = false;
-
-            if active {
-                fault_actions.clear();
-                hook.on_bp_start(k, t0, &mut fault_actions);
-            }
-
-            // Quiescent-BP skip-ahead: nothing is scheduled this BP (no
-            // churn or reference departure, no jam, attack or campaign
-            // window), no rejoin is due, the hook pushed no fault action and
-            // no fault-layer jam is engaged, so the event scans below would
-            // all no-op. Skip straight to the beacon window; the only state
-            // they could have touched is the jammer flag, which such a BP
-            // always leaves released.
-            let quiet = !timeline.interesting(k)
-                && fault_actions.is_empty()
-                && !fault_jam
-                && returns.iter().all(|&(due, _)| due != k);
-            if quiet {
-                channel.set_jammed(false);
-            } else {
-                // --- Churn & reference departures -------------------------
-                returns.retain(|&(due, id)| {
-                    if due == k {
-                        present[id as usize] = true;
-                        let local = oscs[id as usize].local_us(t0);
-                        let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                        nodes[id as usize].on_join(&mut ctx);
-                        soa.refresh(id as usize, &*nodes[id as usize], &pcfg);
-                        disturbed = true;
-                        false
-                    } else {
-                        true
-                    }
-                });
-                if churn_bps.contains(&k) {
-                    let churn = scenario.churn.expect("churn configured");
-                    let candidates: Vec<u32> = (0..scenario.n_nodes)
-                        .filter(|&id| {
-                            present[id as usize]
-                                && honest[id as usize]
-                                && !nodes[id as usize].is_reference()
-                        })
-                        .collect();
-                    let quota = ((scenario.n_nodes as f64 * churn.fraction).round() as usize)
-                        .min(candidates.len());
-                    // Deterministic partial Fisher-Yates from the scenario stream.
-                    let mut pool = candidates;
-                    for pick in 0..quota {
-                        let j = scenario_rng.random_range(pick..pool.len());
-                        pool.swap(pick, j);
-                        depart!(pool[pick], Some(k + churn_absence_bps));
-                    }
-                    disturbed |= quota > 0;
-                }
-                if ref_leave_bps.contains(&k) {
-                    if let Some(id) = (0..scenario.n_nodes)
-                        .find(|&id| present[id as usize] && nodes[id as usize].is_reference())
-                    {
-                        depart!(id, Some(k + ref_absence_bps));
-                        disturbed = true;
-                    }
-                }
-
-                // --- Fault injection --------------------------------------
-                // Applied after churn so a fault plan targeting the reference
-                // sees the network exactly as the scenario left it this BP.
-                let rejoin_at = |r: Option<u64>| r.map(|r| k + r.max(1));
-                for &action in fault_actions.iter() {
-                    disturbed = true;
-                    match action {
-                        FaultAction::Crash {
-                            node,
-                            rejoin_after_bps,
-                        } => depart!(node, rejoin_at(rejoin_after_bps)),
-                        FaultAction::KillReference { rejoin_after_bps } => {
-                            if let Some(id) = (0..scenario.n_nodes).find(|&id| {
-                                present[id as usize] && nodes[id as usize].is_reference()
-                            }) {
-                                depart!(id, rejoin_at(rejoin_after_bps));
-                            }
-                        }
-                        FaultAction::CrashDomain {
-                            domain,
-                            rejoin_after_bps,
-                        } => {
-                            if let Some(d) = &domains {
-                                for &node in &d.domains[domain as usize % d.len()] {
-                                    if !d.is_bridge(node) {
-                                        depart!(node, rejoin_at(rejoin_after_bps));
-                                    }
-                                }
-                            }
-                        }
-                        FaultAction::KillBridge {
-                            bridge,
-                            rejoin_after_bps,
-                        } => {
-                            if let Some(d) = domains.as_ref().filter(|d| !d.bridges.is_empty()) {
-                                let node = d.bridges[bridge as usize % d.bridges.len()];
-                                depart!(node, rejoin_at(rejoin_after_bps));
-                            }
-                        }
-                        FaultAction::ClockStep { node, delta_us } => {
-                            oscs[node as usize].step_by(delta_us)
-                        }
-                        FaultAction::ClockFreeze { node } => oscs[node as usize].freeze(t0),
-                        FaultAction::ClockUnfreeze { node } => oscs[node as usize].unfreeze(t0),
-                        FaultAction::SetBurstLoss(p) => channel.set_burst_loss(p),
-                        FaultAction::SetJammed(on) => fault_jam = on,
-                    }
-                }
-
-                // --- Jamming ----------------------------------------------
-                let t_secs = t0.as_secs_f64();
-                channel.set_jammed(
-                    fault_jam
-                        || scenario
-                            .jam_windows
-                            .iter()
-                            .any(|w| t_secs >= w.start_s && t_secs < w.end_s),
-                );
-                disturbed |= channel.is_jammed();
-                if let Some(a) = scenario.attacker {
-                    disturbed |= t_secs >= a.start_s && t_secs < a.end_s;
-                }
-                if let Some(c) = scenario.campaign {
-                    disturbed |= c.active_at(t_secs);
-                }
-                // Churn, departures, and faults all run above, so a
-                // non-quiet BP recomputes the all-present flag once here;
-                // quiet BPs cannot change membership and keep it as-is.
-                all_present = present.iter().all(|&p| p);
-            } // end of the non-quiet event scans
-            lap!(0);
-
-            // --- Beacon intents ---------------------------------------
-            let single_hop = mesh_resolver.is_none();
-            scratch.tx_attempts.clear();
-            scratch.mh_attempts.clear();
-            for id in 0..scenario.n_nodes {
-                if !present[id as usize] {
-                    continue;
-                }
-                // Serve the intent from the SoA cache when the protocol
-                // predicted it. A cached intent is one the real call would
-                // return without consuming randomness, so skipping the call
-                // (and the oscillator read feeding its context) leaves every
-                // RNG stream untouched.
-                let intent = match soa.static_intent(id as usize) {
-                    Some(si) => {
-                        #[cfg(debug_assertions)]
-                        {
-                            let pos = proto_rngs[id as usize].stream_pos();
-                            let local = oscs[id as usize].local_us(t0);
-                            let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                            let real = nodes[id as usize].intent(&mut ctx);
-                            assert_eq!(real, si, "static intent diverged for node {id}");
-                            assert_eq!(
-                                proto_rngs[id as usize].stream_pos(),
-                                pos,
-                                "static intent consumed randomness for node {id}"
-                            );
-                        }
-                        bp_counters.intent_cached += 1;
-                        si
-                    }
-                    None => {
-                        bp_counters.intent_called += 1;
-                        let local = oscs[id as usize].local_us(t0);
-                        let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                        nodes[id as usize].intent(&mut ctx)
-                    }
-                };
-                let (slot, relay) = match intent {
-                    BeaconIntent::Silent => continue,
-                    BeaconIntent::Contend => {
-                        (window.draw_slot(&mut backoff_rngs[id as usize]), false)
-                    }
-                    BeaconIntent::FixedSlot(slot) => (slot, false),
-                    BeaconIntent::RelayAfterRx(slot) => (slot, true),
-                };
-                if !single_hop {
-                    scratch.mh_attempts.push(MhAttempt {
-                        station: id,
-                        slot,
-                        relay,
-                    });
-                } else if !relay {
-                    // Relaying is pointless when everyone already hears the
-                    // reference directly.
-                    scratch.tx_attempts.push(TxAttempt { station: id, slot });
-                }
-            }
-            lap!(1);
-
-            // --- Beacon generation window -----------------------------
-            // Both arms list the window's deliveries for the shared
-            // delivery loop below. Single-hop counts one collision per
-            // window; meshes count one per transmitter that reached nobody.
-            scratch.on_air.clear();
-            scratch.deliveries.clear();
-            let deliveries: &[MhDelivery] = match mesh_resolver.as_mut() {
-                None => {
-                    // Single-hop: the whole window is decided by the
-                    // earliest occupied slot.
-                    let mut outcome = channel.resolve_window(&scratch.tx_attempts);
-                    if active {
-                        // Replay seam: a schedule-driven hook substitutes
-                        // the recorded outcome after cross-checking `live`.
-                        if let Some(replayed) = hook.on_window(k, &outcome) {
-                            outcome = replayed;
-                        }
-                    }
-                    match outcome {
-                        WindowOutcome::Silent => {
-                            silent_windows += 1;
-                            bp_counters.window_silent += 1;
-                        }
-                        WindowOutcome::Jammed { victims } => {
-                            jammed_windows += 1;
-                            bp_counters.window_jammed += 1;
-                            for id in victims {
-                                let local = oscs[id as usize].local_us(t0);
-                                let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                                nodes[id as usize].on_tx_outcome(&mut ctx, true);
-                            }
-                        }
-                        WindowOutcome::Collision { colliders, .. } => {
-                            tx_collisions += 1;
-                            bp_counters.window_collision += 1;
-                            for id in colliders {
-                                let local = oscs[id as usize].local_us(t0);
-                                let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                                nodes[id as usize].on_tx_outcome(&mut ctx, true);
-                            }
-                        }
-                        WindowOutcome::Success { winner, slot } => {
-                            tx_successes += 1;
-                            bp_counters.window_success += 1;
-                            let tx_local = transmit!(winner, slot);
-                            let mut ctx =
-                                node_ctx!(proto_rngs, &mut anchors, &pcfg, winner, tx_local);
-                            nodes[winner as usize].on_tx_outcome(&mut ctx, false);
-                            for id in 0..scenario.n_nodes {
-                                if id != winner && present[id as usize] {
-                                    scratch.deliveries.push(MhDelivery {
-                                        rx: id,
-                                        tx: winner,
-                                        slot,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    &scratch.deliveries
-                }
-                Some(resolver) => {
-                    // Multi-hop: local carrier sense, hidden terminals,
-                    // spatial reuse and in-window relaying, resolved per
-                    // collision domain with reused buffers.
-                    let topo = topology.as_ref().expect("a resolver implies a topology");
-                    let attempts = &scratch.mh_attempts;
-                    if channel.is_jammed() {
-                        jammed_windows += 1;
-                        bp_counters.window_jammed += 1;
-                        for a in attempts.iter() {
-                            if !a.relay {
-                                let local = oscs[a.station as usize].local_us(t0);
-                                let mut ctx =
-                                    node_ctx!(proto_rngs, &mut anchors, &pcfg, a.station, local);
-                                nodes[a.station as usize].on_tx_outcome(&mut ctx, true);
-                            }
-                        }
-                        &[]
-                    } else if attempts.is_empty() {
-                        silent_windows += 1;
-                        bp_counters.window_silent += 1;
-                        &[]
-                    } else {
-                        let out = resolver.resolve(topo, attempts, pcfg.beacon_airtime_slots);
-                        // Beacons are produced at each transmitter's start
-                        // slot; deliveries happen one airtime later.
-                        for &(station, slot) in &out.transmissions {
-                            transmit!(station, slot);
-                        }
-                        // Transmit feedback: a transmission that reached at
-                        // least one receiver counts as clean.
-                        for d in &out.deliveries {
-                            scratch.on_air[scratch.on_air_of[d.tx as usize] as usize].reached =
-                                true;
-                        }
-                        for (beacon, &(station, _)) in scratch.on_air.iter().zip(&out.transmissions)
-                        {
-                            if beacon.reached {
-                                tx_successes += 1;
-                                bp_counters.window_success += 1;
-                            } else {
-                                tx_collisions += 1;
-                                bp_counters.window_collision += 1;
-                            }
-                            let local = oscs[station as usize].local_us(t0);
-                            let mut ctx =
-                                node_ctx!(proto_rngs, &mut anchors, &pcfg, station, local);
-                            nodes[station as usize].on_tx_outcome(&mut ctx, !beacon.reached);
-                        }
-                        // Deliveries in slot order (relays react next BP;
-                        // in-window relay chaining was already decided by
-                        // the resolution), to present receivers only.
-                        if all_present {
-                            &out.deliveries
-                        } else {
-                            scratch
-                                .deliveries
-                                .extend(out.deliveries.iter().filter(|d| present[d.rx as usize]));
-                            &scratch.deliveries
-                        }
-                    }
-                }
+            let mut bp = Bp {
+                k: ev.payload,
+                t0: ev.time,
+                t_end: ev.time + run.bp - SimDuration::from_us(1),
+                disturbed: false,
             };
-
-            // --- Deliveries -------------------------------------------
-            // Every channel-error draw of the window is taken in one pass
-            // (identical stream consumption: jitter and hook randomness
-            // live on other streams), then the survivors are processed.
-            bp_counters.rx_attempt += deliveries.len() as u64;
-            channel.deliver_batch(&mut chan_rng, deliveries.len(), &mut scratch.rx_fates);
-            for (d, &fate) in deliveries.iter().zip(scratch.rx_fates.iter()) {
-                if fate == Delivery::Lost {
-                    bp_counters.rx_lost += 1;
-                    continue;
-                }
-                // Each receiver processes its own copy: a corruption fault
-                // at one receiver models that receiver's demodulation
-                // errors, not a change to the transmitted frame (whose
-                // airtime fixed `t_rx`).
-                let OnAir {
-                    mut payload, t_rx, ..
-                } = scratch.on_air[scratch.on_air_of[d.tx as usize] as usize];
-                let dctx = DeliveryCtx {
-                    bp: k,
-                    src: d.tx,
-                    dst: d.rx,
-                    t_rx,
-                };
-                if active && hook.on_delivery(&dctx, &mut payload) == DeliveryFate::Drop {
-                    bp_counters.rx_hook_dropped += 1;
-                    continue;
-                }
-                bp_counters.rx_delivered += 1;
-                // Receiver-side timestamping noise: each station stamps the
-                // arrival with its own hardware path, contributing (with
-                // the sender-side jitter) the paper's receiver estimation
-                // error ε.
-                let rx_jitter = jitter_rng.random_range(0.0..=scenario.timestamp_jitter_us);
-                let local_rx = oscs[d.rx as usize].local_us(t_rx) + rx_jitter;
-                let rx = &mut nodes[d.rx as usize];
-                // Hooks observe the *virtual* clock: the SoA entry is
-                // refreshed only at BP end and can be stale mid-window.
-                let (clock_before, ref_before, stats_before) = if active {
-                    (
-                        rx.clock_us(local_rx),
-                        rx.current_reference(),
-                        rx.sstsp_stats(),
-                    )
-                } else {
-                    (0.0, None, None)
-                };
-                let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, d.rx, local_rx);
-                rx.on_beacon(
-                    &mut ctx,
-                    ReceivedBeacon {
-                        payload,
-                        local_rx_us: local_rx,
-                    },
-                );
-                if active {
-                    hook.post_delivery(&DeliveryObs {
-                        ctx: dctx,
-                        payload: &payload,
-                        local_rx_us: local_rx,
-                        clock_before_us: clock_before,
-                        ref_before,
-                        stats_before,
-                        stats_after: rx.sstsp_stats(),
-                        anchors: &anchors,
-                    });
-                }
-            }
-
-            // --- End of BP --------------------------------------------
-            lap!(2);
-            let t_end = t0 + bp - SimDuration::from_us(1);
-            // Fused sweep: the final callback of the BP, the SoA snapshot,
-            // and the spread-metric clock read share one pass (and one
-            // oscillator evaluation per node). The snapshot keeps the SoA
-            // exact for this BP's metric reads and the next BP's intent
-            // scan; any interim mutation — join — refreshes at its own site.
-            scratch.clocks.clear();
-            for id in 0..scenario.n_nodes {
-                let i = id as usize;
-                if !present[i] {
-                    continue;
-                }
-                let local = oscs[i].local_us(t_end);
-                let mut ctx = node_ctx!(proto_rngs, &mut anchors, &pcfg, id, local);
-                nodes[i].on_bp_end(&mut ctx);
-                soa.refresh(i, &*nodes[i], &pcfg);
-                if honest[i] && mirror!(soa, nodes, is_synchronized, i) {
-                    let c = soa
-                        .clock_us(i, local)
-                        .unwrap_or_else(|| nodes[i].clock_us(local));
-                    debug_assert_eq!(
-                        c.to_bits(),
-                        nodes[i].clock_us(local).to_bits(),
-                        "SoA affine clock diverged for node {i}"
-                    );
-                    scratch.clocks.push(c);
-                }
-            }
-
-            // --- Metrics ----------------------------------------------
-            lap!(3);
-            tracker.sample(t_end, &scratch.clocks);
-            if telemetry::enabled() {
-                if let Some(&spread) = tracker.series().values().last() {
-                    spread_hist
-                        .get_or_insert_with(|| {
-                            Histogram::new(SPREAD_DIST.lo, SPREAD_DIST.hi, SPREAD_DIST.bins)
-                        })
-                        .record(spread);
-                }
-            }
-
-            lap!(4);
-            let current_ref = (0..scenario.n_nodes)
-                .find(|&id| present[id as usize] && mirror!(soa, nodes, is_reference, id as usize));
-            if current_ref != last_reference {
-                if current_ref.is_some() {
-                    reference_changes += 1;
-                }
-                last_reference = current_ref;
-                disturbed = true;
-            }
-            for &atk in &adversary_ids {
-                if attacker_became_reference {
-                    break;
-                }
-                if current_ref == Some(atk) {
-                    attacker_became_reference = true;
-                    break;
-                }
-                // An internal adversary acts as a *de facto* reference when
-                // the honest stations follow its beacons.
-                let followers = (0..scenario.n_nodes as usize)
-                    .filter(|&i| {
-                        present[i]
-                            && honest[i]
-                            && mirror!(soa, nodes, current_reference, i) == Some(atk)
-                    })
-                    .count();
-                let honest_present = (0..scenario.n_nodes as usize)
-                    .filter(|&i| present[i] && honest[i])
-                    .count();
-                if honest_present > 0 && followers * 2 > honest_present {
-                    attacker_became_reference = true;
-                }
-            }
-
-            if active {
-                snapshots.clear();
-                for i in 0..scenario.n_nodes as usize {
-                    snapshots.push(NodeSnapshot {
-                        id: i as NodeId,
-                        present: present[i],
-                        honest: honest[i],
-                        synchronized: nodes[i].is_synchronized(),
-                        is_reference: present[i] && nodes[i].is_reference(),
-                        clock_us: nodes[i].clock_us(oscs[i].local_us(t_end)),
-                        stats: nodes[i].sstsp_stats(),
-                    });
-                }
-                hook.on_bp_end(&BpView {
-                    bp: k,
-                    t_end,
-                    nodes: &snapshots,
-                    reference: current_ref,
-                    disturbed,
-                });
-            }
-
-            lap!(5);
-            if k < total_bps {
-                sim.schedule_at(t0 + bp, k + 1);
+            clock.start();
+            run.events(&mut bp);
+            clock.lap(0);
+            run.intents(&bp);
+            clock.lap(1);
+            run.window(&bp, resolver.as_mut());
+            clock.lap(2);
+            run.bp_end(&bp);
+            clock.lap(3);
+            run.metrics(&bp);
+            clock.lap(4);
+            run.tail(&mut bp);
+            clock.lap(5);
+            if bp.k < run.total_bps {
+                sim.schedule_at(bp.t0 + run.bp, bp.k + 1);
             }
             SimControl::Continue
         });
-        if prof {
-            let names = ["events", "intent", "window+rx", "bp_end", "metrics", "tail"];
-            let per_bp_node = 1e0 / (total_bps as f64 * scenario.n_nodes as f64);
-            for (name, ns) in names.iter().zip(prof_ns.iter()) {
-                telemetry::log::info("engine.prof", || {
-                    format!(
-                        "prof {name:>9}: {:8.3} ms  {:6.1} ns/node/bp",
-                        *ns as f64 / 1e6,
-                        *ns as f64 * per_bp_node
-                    )
-                });
+        clock.report(run.total_bps as f64 * run.scenario.n_nodes as f64);
+        run.finish(&sim)
+    }
+}
+
+/// Coarse per-stage wall-clock accounting for the BP loop, logged at run
+/// end through the structured log (`engine.prof`, info level — so
+/// `SSTSP_PROF=1 SSTSP_LOG=info`). Off, it costs one branch per stage
+/// boundary per BP.
+struct StageClock {
+    on: bool,
+    /// Nanoseconds per stage, summed over the run.
+    ns: [u128; 6],
+    /// The last stage boundary of the current BP (`None` when off).
+    last: Option<Instant>,
+}
+
+impl StageClock {
+    /// The stages' names in loop order, as `engine.prof` prints them.
+    const STAGES: [&'static str; 6] =
+        ["events", "intent", "window+rx", "bp_end", "metrics", "tail"];
+
+    fn new(on: bool) -> Self {
+        StageClock {
+            on,
+            ns: [0; 6],
+            last: None,
+        }
+    }
+
+    /// Log node initiation's wall time, measured from `since`.
+    fn init(&self, since: Instant) {
+        if self.on {
+            telemetry::log::info("engine.prof", || {
+                format!(
+                    "prof      init: {:8.3} ms",
+                    since.elapsed().as_secs_f64() * 1e3
+                )
+            });
+        }
+    }
+
+    /// Open a BP.
+    fn start(&mut self) {
+        self.last = self.on.then(Instant::now);
+    }
+
+    /// Close `stage`, charging it the time since the previous boundary.
+    fn lap(&mut self, stage: usize) {
+        if let Some(t) = self.last.as_mut() {
+            let now = Instant::now();
+            self.ns[stage] += now.duration_since(*t).as_nanos();
+            *t = now;
+        }
+    }
+
+    /// Log each stage's total and its cost per station-BP.
+    fn report(&self, node_bps: f64) {
+        if !self.on {
+            return;
+        }
+        let per_bp_node = 1e0 / node_bps;
+        for (name, ns) in Self::STAGES.iter().zip(self.ns.iter()) {
+            telemetry::log::info("engine.prof", || {
+                format!(
+                    "prof {name:>9}: {:8.3} ms  {:6.1} ns/node/bp",
+                    *ns as f64 / 1e6,
+                    *ns as f64 * per_bp_node
+                )
+            });
+        }
+    }
+}
+
+/// The stations: protocol state machines, hardware clocks, protocol RNG
+/// streams and anchors, and membership.
+struct Stations {
+    nodes: Vec<Box<dyn SyncProtocol>>,
+    oscs: Vec<Oscillator>,
+    rngs: Vec<ChaCha12Rng>,
+    anchors: AnchorRegistry,
+    config: ProtocolConfig,
+    present: Vec<bool>,
+    honest: Vec<bool>,
+    /// Stations off the air; while none is, a mesh window skips its
+    /// presence filter.
+    absent: usize,
+    /// (BP, station) pairs due to rejoin, in departure order.
+    returns: Vec<(u64, NodeId)>,
+}
+
+impl Stations {
+    /// Station `id`'s protocol, and a callback context reading `local_us`.
+    fn at(&mut self, id: NodeId, local_us: f64) -> (&mut dyn SyncProtocol, NodeCtx<'_>) {
+        let i = id as usize;
+        let ctx = NodeCtx {
+            id,
+            local_us,
+            rng: &mut self.rngs[i],
+            anchors: &mut self.anchors,
+            config: &self.config,
+        };
+        (&mut *self.nodes[i], ctx)
+    }
+
+    /// [`at`](Self::at) the station's hardware-clock reading of `t`.
+    fn at_time(&mut self, id: NodeId, t: SimTime) -> (&mut dyn SyncProtocol, NodeCtx<'_>) {
+        let local = self.oscs[id as usize].local_us(t);
+        self.at(id, local)
+    }
+
+    /// Transmit feedback at `t`: whether the station's beacon collided.
+    fn tx_outcome(&mut self, id: NodeId, t: SimTime, collided: bool) {
+        let (node, mut ctx) = self.at_time(id, t);
+        node.on_tx_outcome(&mut ctx, collided);
+    }
+
+    /// The first present station holding the reference role, by the trait
+    /// call (departures act before the SoA's end-of-BP refresh).
+    fn reference(&self) -> Option<NodeId> {
+        (0..self.nodes.len() as NodeId)
+            .find(|&id| self.present[id as usize] && self.nodes[id as usize].is_reference())
+    }
+
+    /// Take a station off the air at `t0` (no-op if it is already absent),
+    /// queueing its rejoin for BP `rejoin_at`.
+    fn depart(&mut self, id: NodeId, t0: SimTime, rejoin_at: Option<u64>) {
+        if !self.present[id as usize] {
+            return;
+        }
+        self.present[id as usize] = false;
+        self.absent += 1;
+        let (node, mut ctx) = self.at_time(id, t0);
+        node.on_leave(&mut ctx);
+        if let Some(due) = rejoin_at {
+            self.returns.push((due, id));
+        }
+    }
+
+    /// Put back on the air at `t0`, in departure order, every station due
+    /// at BP `k`, refreshing its `soa` entry; whether any was.
+    fn rejoin_due(&mut self, k: u64, t0: SimTime, soa: &mut NodeSoa) -> bool {
+        let due = self.returns.len();
+        let mut i = 0;
+        while i < self.returns.len() {
+            if self.returns[i].0 != k {
+                i += 1;
+                continue;
+            }
+            let (_, id) = self.returns.remove(i);
+            self.present[id as usize] = true;
+            self.absent -= 1;
+            let (node, mut ctx) = self.at_time(id, t0);
+            node.on_join(&mut ctx);
+            soa.refresh(id as usize, &*self.nodes[id as usize], &self.config);
+        }
+        self.returns.len() < due
+    }
+}
+
+/// One beacon period's own state.
+struct Bp {
+    /// BP index, from 1.
+    k: u64,
+    /// The BP's start.
+    t0: SimTime,
+    /// The end-of-BP sampling instant, 1 µs before the next BP starts.
+    t_end: SimTime,
+    /// Whether anything perturbed the network this BP (churn, departures,
+    /// jamming, attacker activity, fault actions, a reference change);
+    /// convergence invariants suspend after disturbances.
+    disturbed: bool,
+}
+
+/// One run in progress: the stations, the channel and its streams, the
+/// run's schedule, hook and tallies. [`Network::run_with_hook`] calls one
+/// method per stage of every BP.
+struct Run<'h> {
+    hook: &'h mut dyn EngineHook,
+    /// Whether `hook` wants the per-event callbacks.
+    active: bool,
+    scenario: ScenarioConfig,
+    st: Stations,
+    /// Dense node state (static intents, affine clocks, reference and sync
+    /// flags) the per-BP scans read instead of making trait calls. A pure
+    /// cache: refreshed after init, rejoin and every end-of-BP callback,
+    /// and debug builds check each read against the trait.
+    soa: NodeSoa,
+    phy: PhyParams,
+    window: ContentionWindow,
+    channel: Channel,
+    backoff_rngs: Vec<ChaCha12Rng>,
+    chan_rng: CountingRng<ChaCha12Rng>,
+    jitter_rng: CountingRng<ChaCha12Rng>,
+    scenario_rng: ChaCha12Rng,
+    topology: Option<Topology>,
+    domains: Option<DomainDecomposition>,
+    scratch: Scratch,
+    /// BP length.
+    bp: SimDuration,
+    total_bps: u64,
+    /// Churn's period in BPs (0 without churn), and the BPs at which the
+    /// reference departs.
+    churn_period_bps: u64,
+    ref_leave_bps: Vec<u64>,
+    /// The hook's fault actions for this BP.
+    fault_actions: Vec<FaultAction>,
+    /// The fault layer's jamming flag, OR-ed with the scenario's jam
+    /// windows.
+    fault_jam: bool,
+    /// Stations under adversary control: the lone attacker and every
+    /// campaign member (reference capture is tracked for all of them).
+    adversary_ids: Vec<NodeId>,
+    reference_changes: u64,
+    last_reference: Option<NodeId>,
+    attacker_became_reference: bool,
+    counters: BpCounters,
+    tracker: SpreadTracker,
+    /// The per-BP spread samples, folded into telemetry at run end the way
+    /// `counters` are.
+    spread_hist: Option<Histogram>,
+    snapshots: Vec<NodeSnapshot>,
+}
+
+impl<'h> Run<'h> {
+    /// Take `net` apart into a run, initiate every station (seed draw and
+    /// deferred anchor registration), and hand the hook the scenario and
+    /// the published anchors.
+    fn start(net: Network, hook: &'h mut dyn EngineHook, clock: &StageClock) -> Self {
+        let Network {
+            scenario: sc,
+            phy,
+            window,
+            channel,
+            st,
+            backoff_rngs,
+            chan_rng,
+            jitter_rng,
+            scenario_rng,
+            topology,
+            domains,
+            scratch,
+            ..
+        } = net;
+        let n = sc.n_nodes as usize;
+        let active = hook.active();
+        let adversary_ids = (0..n as NodeId)
+            .filter(|&i| !st.honest[i as usize])
+            .collect();
+        // One tick per run; perfbench's ledger counts runs by it.
+        telemetry::counter_add("engine.path.fast", 1);
+        let mut run = Run {
+            hook,
+            active,
+            st,
+            soa: NodeSoa::new(n),
+            phy,
+            window,
+            channel,
+            backoff_rngs,
+            chan_rng,
+            jitter_rng,
+            scenario_rng,
+            topology,
+            domains,
+            scratch,
+            bp: SimDuration::from_us_f64(sc.protocol_config.bp_us),
+            total_bps: sc.total_bps(),
+            churn_period_bps: sc.churn.map_or(0, |c| sc.bps(c.period_s)),
+            ref_leave_bps: sc.ref_leaves_s.iter().map(|&s| sc.bps(s)).collect(),
+            fault_actions: Vec::new(),
+            fault_jam: false,
+            adversary_ids,
+            reference_changes: 0,
+            last_reference: None,
+            attacker_became_reference: false,
+            counters: BpCounters::default(),
+            tracker: SpreadTracker::new(format!("{} N={}", sc.protocol.name(), sc.n_nodes)),
+            spread_hist: None,
+            snapshots: Vec::with_capacity(if active { n } else { 0 }),
+            scenario: sc,
+        };
+
+        let t_init = Instant::now();
+        for id in 0..n as NodeId {
+            let (node, mut ctx) = run.st.at_time(id, SimTime::ZERO);
+            node.init(&mut ctx);
+            let i = id as usize;
+            run.soa.refresh(i, &*run.st.nodes[i], &run.st.config);
+        }
+        clock.init(t_init);
+        run.hook.on_run_start(&run.scenario, &run.st.anchors);
+        run
+    }
+
+    /// The instant past the run's last BP.
+    fn horizon(&self) -> SimTime {
+        SimTime::ZERO + self.bp * (self.total_bps + 1)
+    }
+
+    /// Stage 1, scenario events: the hook's fault actions for the BP, then
+    /// rejoins, churn, reference departures, the fault actions themselves
+    /// and the jamming flag.
+    fn events(&mut self, bp: &mut Bp) {
+        let (k, t0) = (bp.k, bp.t0);
+        if self.active {
+            self.fault_actions.clear();
+            self.hook.on_bp_start(k, &mut self.fault_actions);
+        }
+        bp.disturbed |= self.st.rejoin_due(k, t0, &mut self.soa);
+        let sc = &self.scenario;
+        // Churn departs stations at every multiple of its period before
+        // the last BP.
+        if let Some(churn) = sc.churn {
+            if k % self.churn_period_bps == 0 && k < self.total_bps {
+                let st = &mut self.st;
+                let mut pool: Vec<NodeId> = (0..st.nodes.len() as NodeId)
+                    .filter(|&id| {
+                        let i = id as usize;
+                        st.present[i] && st.honest[i] && !st.nodes[i].is_reference()
+                    })
+                    .collect();
+                let quota = ((sc.n_nodes as f64 * churn.fraction).round() as usize).min(pool.len());
+                // Deterministic partial Fisher-Yates from the scenario stream.
+                for pick in 0..quota {
+                    let j = self.scenario_rng.random_range(pick..pool.len());
+                    pool.swap(pick, j);
+                    st.depart(pool[pick], t0, Some(k + sc.bps(churn.absence_s)));
+                }
+                bp.disturbed |= quota > 0;
+            }
+        }
+        if self.ref_leave_bps.contains(&k) {
+            if let Some(id) = self.st.reference() {
+                self.st.depart(id, t0, Some(k + sc.bps(sc.ref_absence_s)));
+                bp.disturbed = true;
             }
         }
 
+        // Fault actions apply after churn, so a fault plan targeting the
+        // reference sees the network exactly as the scenario left it.
+        let rejoin_at = |r: Option<u64>| r.map(|r| k.saturating_add(r.max(1)));
+        for &action in &self.fault_actions {
+            bp.disturbed = true;
+            match action {
+                FaultAction::Crash {
+                    node,
+                    rejoin_after_bps,
+                } => self.st.depart(node, t0, rejoin_at(rejoin_after_bps)),
+                FaultAction::KillReference { rejoin_after_bps } => {
+                    if let Some(id) = self.st.reference() {
+                        self.st.depart(id, t0, rejoin_at(rejoin_after_bps));
+                    }
+                }
+                FaultAction::CrashDomain {
+                    domain,
+                    rejoin_after_bps,
+                } => {
+                    if let Some(d) = &self.domains {
+                        for &node in &d.domains[domain as usize % d.len()] {
+                            if !d.is_bridge(node) {
+                                self.st.depart(node, t0, rejoin_at(rejoin_after_bps));
+                            }
+                        }
+                    }
+                }
+                FaultAction::KillBridge {
+                    bridge,
+                    rejoin_after_bps,
+                } => {
+                    if let Some(d) = self.domains.as_ref().filter(|d| !d.bridges.is_empty()) {
+                        let node = d.bridges[bridge as usize % d.bridges.len()];
+                        self.st.depart(node, t0, rejoin_at(rejoin_after_bps));
+                    }
+                }
+                FaultAction::ClockStep { node, delta_us } => {
+                    self.st.oscs[node as usize].step_by(delta_us)
+                }
+                FaultAction::ClockFreeze { node } => self.st.oscs[node as usize].freeze(t0),
+                FaultAction::ClockUnfreeze { node } => self.st.oscs[node as usize].unfreeze(t0),
+                FaultAction::SetBurstLoss(p) => self.channel.set_burst_loss(p),
+                FaultAction::SetJammed(on) => self.fault_jam = on,
+            }
+        }
+
+        let t_secs = t0.as_secs_f64();
+        let jammed = self.fault_jam
+            || self
+                .scenario
+                .jam_windows
+                .iter()
+                .any(|w| t_secs >= w.start_s && t_secs < w.end_s);
+        self.channel.set_jammed(jammed);
+        bp.disturbed |= jammed;
+        if let Some(a) = self.scenario.attacker {
+            bp.disturbed |= t_secs >= a.start_s && t_secs < a.end_s;
+        }
+        if let Some(c) = self.scenario.campaign {
+            bp.disturbed |= c.active_at(t_secs);
+        }
+    }
+
+    /// Stage 2, beacon intents: every present station's, listed as this
+    /// window's attempts.
+    fn intents(&mut self, bp: &Bp) {
+        let mesh = self.topology.is_some();
+        self.scratch.tx_attempts.clear();
+        self.scratch.mh_attempts.clear();
+        for id in 0..self.scenario.n_nodes {
+            let i = id as usize;
+            if !self.st.present[i] {
+                continue;
+            }
+            // Serve the intent from the SoA cache when the protocol
+            // predicted it. A cached intent is one the real call would
+            // return without consuming randomness, so skipping the call
+            // (and the oscillator read feeding its context) leaves every
+            // RNG stream untouched.
+            let intent = match self.soa.static_intent(i) {
+                Some(si) => {
+                    #[cfg(debug_assertions)]
+                    {
+                        let pos = self.st.rngs[i].stream_pos();
+                        let (node, mut ctx) = self.st.at_time(id, bp.t0);
+                        let real = node.intent(&mut ctx);
+                        assert_eq!(real, si, "static intent diverged for node {id}");
+                        assert_eq!(
+                            self.st.rngs[i].stream_pos(),
+                            pos,
+                            "static intent consumed randomness for node {id}"
+                        );
+                    }
+                    self.counters.intent_cached += 1;
+                    si
+                }
+                None => {
+                    self.counters.intent_called += 1;
+                    let (node, mut ctx) = self.st.at_time(id, bp.t0);
+                    node.intent(&mut ctx)
+                }
+            };
+            let (slot, relay) = match intent {
+                BeaconIntent::Silent => continue,
+                BeaconIntent::Contend => (self.window.draw_slot(&mut self.backoff_rngs[i]), false),
+                BeaconIntent::FixedSlot(slot) => (slot, false),
+                BeaconIntent::RelayAfterRx(slot) => (slot, true),
+            };
+            if mesh {
+                self.scratch.mh_attempts.push(MhAttempt {
+                    station: id,
+                    slot,
+                    relay,
+                });
+            } else if !relay {
+                // Relaying is pointless when everyone already hears the
+                // reference directly.
+                self.scratch
+                    .tx_attempts
+                    .push(TxAttempt { station: id, slot });
+            }
+        }
+    }
+
+    /// Stage 3, window and delivery: resolve the beacon generation window
+    /// (single-hop by its earliest slot, any topology by `resolver`), then
+    /// deliver its beacons.
+    fn window(&mut self, bp: &Bp, resolver: Option<&mut MeshResolver>) {
+        self.scratch.on_air.clear();
+        // Taken for the stage (no allocation) so the delivery loop can
+        // read the list beside the run it mutates.
+        let mut listed = std::mem::take(&mut self.scratch.deliveries);
+        listed.clear();
+        let deliveries = match resolver {
+            None => self.single_hop_window(bp, &mut listed),
+            Some(resolver) => self.mesh_window(bp, resolver, &mut listed),
+        };
+        self.deliver(bp.k, deliveries);
+        self.scratch.deliveries = listed;
+    }
+
+    /// The single-hop window: decided by the earliest occupied slot, one
+    /// collision per window. Lists the winner's deliveries in `listed`.
+    fn single_hop_window<'l>(
+        &mut self,
+        bp: &Bp,
+        listed: &'l mut Vec<MhDelivery>,
+    ) -> &'l [MhDelivery] {
+        match self.channel.resolve_window(&self.scratch.tx_attempts) {
+            WindowOutcome::Silent => self.counters.window_silent += 1,
+            WindowOutcome::Jammed { victims } => {
+                self.counters.window_jammed += 1;
+                for id in victims {
+                    self.st.tx_outcome(id, bp.t0, true);
+                }
+            }
+            WindowOutcome::Collision { colliders, .. } => {
+                self.counters.window_collision += 1;
+                for id in colliders {
+                    self.st.tx_outcome(id, bp.t0, true);
+                }
+            }
+            WindowOutcome::Success { winner, slot } => {
+                self.counters.window_success += 1;
+                let tx_local = self.transmit(bp, winner, slot);
+                let (node, mut ctx) = self.st.at(winner, tx_local);
+                node.on_tx_outcome(&mut ctx, false);
+                let present = &self.st.present;
+                listed.extend(
+                    (0..self.scenario.n_nodes)
+                        .filter(|&rx| rx != winner && present[rx as usize])
+                        .map(|rx| MhDelivery {
+                            rx,
+                            tx: winner,
+                            slot,
+                        }),
+                );
+            }
+        }
+        listed
+    }
+
+    /// A multi-hop window: local carrier sense, hidden terminals, spatial
+    /// reuse and in-window relaying, resolved per collision domain with
+    /// reused buffers; one collision per transmitter that reached nobody.
+    /// Returns the resolver's deliveries, or lists those to present
+    /// receivers in `listed` while any station is absent.
+    fn mesh_window<'l>(
+        &mut self,
+        bp: &Bp,
+        resolver: &'l mut MeshResolver,
+        listed: &'l mut Vec<MhDelivery>,
+    ) -> &'l [MhDelivery] {
+        if self.channel.is_jammed() {
+            self.counters.window_jammed += 1;
+            for a in &self.scratch.mh_attempts {
+                if !a.relay {
+                    self.st.tx_outcome(a.station, bp.t0, true);
+                }
+            }
+            return &[];
+        }
+        if self.scratch.mh_attempts.is_empty() {
+            self.counters.window_silent += 1;
+            return &[];
+        }
+        let topo = self
+            .topology
+            .as_ref()
+            .expect("a resolver implies a topology");
+        let airtime = self.st.config.beacon_airtime_slots;
+        let out = resolver.resolve(topo, &self.scratch.mh_attempts, airtime);
+        // Beacons are produced at each transmitter's start slot;
+        // deliveries happen one airtime later.
+        for &(station, slot) in &out.transmissions {
+            self.transmit(bp, station, slot);
+        }
+        // Transmit feedback: a transmission that reached at least one
+        // receiver counts as clean.
+        for d in &out.deliveries {
+            self.scratch.on_air[self.scratch.on_air_of[d.tx as usize] as usize].reached = true;
+        }
+        for (beacon, &(station, _)) in self.scratch.on_air.iter().zip(&out.transmissions) {
+            if beacon.reached {
+                self.counters.window_success += 1;
+            } else {
+                self.counters.window_collision += 1;
+            }
+            self.st.tx_outcome(station, bp.t0, !beacon.reached);
+        }
+        // Deliveries in slot order (relays react next BP; in-window relay
+        // chaining was already decided by the resolution), to present
+        // receivers only.
+        if self.st.absent == 0 {
+            return &out.deliveries;
+        }
+        let present = &self.st.present;
+        listed.extend(out.deliveries.iter().filter(|d| present[d.rx as usize]));
+        listed
+    }
+
+    /// Put `station` on the air in `slot`: make its beacon and list it in
+    /// `scratch.on_air` for the delivery loop. Returns the transmitter's
+    /// jittered local timestamp.
+    fn transmit(&mut self, bp: &Bp, station: NodeId, slot: u32) -> f64 {
+        let t_tx = bp.t0 + self.window.delay_of(slot);
+        self.counters.beacon_tx += 1;
+        if self.active {
+            self.hook.on_beacon_tx(bp.k, station);
+        }
+        // Sub-µs hardware timestamping jitter.
+        let jitter = self
+            .jitter_rng
+            .random_range(0.0..=self.scenario.timestamp_jitter_us);
+        let tx_local = self.st.oscs[station as usize].local_us(t_tx) + jitter;
+        let (node, mut ctx) = self.st.at(station, tx_local);
+        let payload = node.make_beacon(&mut ctx);
+        self.scratch.on_air_of[station as usize] = self.scratch.on_air.len() as u32;
+        self.scratch.on_air.push(OnAir {
+            payload,
+            t_rx: t_tx + self.phy.beacon_airtime(payload.is_secured()) + self.phy.propagation(),
+            reached: false,
+        });
+        tx_local
+    }
+
+    /// Deliver the window's beacons. Every channel-error draw of the
+    /// window is taken in one pass (identical stream consumption: jitter
+    /// and hook randomness live on other streams), then the survivors are
+    /// processed.
+    fn deliver(&mut self, k: u64, deliveries: &[MhDelivery]) {
+        self.counters.rx_attempt += deliveries.len() as u64;
+        self.channel.deliver_batch(
+            &mut self.chan_rng,
+            deliveries.len(),
+            &mut self.scratch.rx_fates,
+        );
+        for (d, &fate) in deliveries.iter().zip(self.scratch.rx_fates.iter()) {
+            if fate == Delivery::Lost {
+                self.counters.rx_lost += 1;
+                continue;
+            }
+            // Each receiver processes its own copy: a corruption fault at
+            // one receiver models that receiver's demodulation errors, not
+            // a change to the transmitted frame (whose airtime fixed
+            // `t_rx`).
+            let OnAir {
+                mut payload, t_rx, ..
+            } = self.scratch.on_air[self.scratch.on_air_of[d.tx as usize] as usize];
+            let dctx = DeliveryCtx {
+                bp: k,
+                src: d.tx,
+                dst: d.rx,
+                t_rx,
+            };
+            if self.active && self.hook.on_delivery(&dctx, &mut payload) == DeliveryFate::Drop {
+                self.counters.rx_hook_dropped += 1;
+                continue;
+            }
+            self.counters.rx_delivered += 1;
+            // Receiver-side timestamping noise: each station stamps the
+            // arrival with its own hardware path, contributing (with the
+            // sender-side jitter) the paper's receiver estimation error ε.
+            let rx_jitter = self
+                .jitter_rng
+                .random_range(0.0..=self.scenario.timestamp_jitter_us);
+            let local_rx = self.st.oscs[d.rx as usize].local_us(t_rx) + rx_jitter;
+            let (rx, mut ctx) = self.st.at(d.rx, local_rx);
+            // Hooks observe the *virtual* clock: the SoA entry is refreshed
+            // only at BP end and can be stale mid-window.
+            let before = self.active.then(|| {
+                (
+                    rx.clock_us(local_rx),
+                    rx.current_reference(),
+                    rx.sstsp_stats(),
+                )
+            });
+            rx.on_beacon(
+                &mut ctx,
+                ReceivedBeacon {
+                    payload,
+                    local_rx_us: local_rx,
+                },
+            );
+            if let Some((clock_before_us, ref_before, stats_before)) = before {
+                let stats_after = rx.sstsp_stats();
+                self.hook.post_delivery(&DeliveryObs {
+                    ctx: dctx,
+                    payload: &payload,
+                    local_rx_us: local_rx,
+                    clock_before_us,
+                    ref_before,
+                    stats_before,
+                    stats_after,
+                    anchors: &self.st.anchors,
+                });
+            }
+        }
+    }
+
+    /// Stage 4, end of BP: the BP's final callback, the SoA snapshot and
+    /// the spread metric's clock read share one pass (and one oscillator
+    /// evaluation per node). The snapshot keeps the SoA exact for this
+    /// BP's metric reads and the next BP's intent scan; any interim
+    /// mutation — a rejoin — refreshes at its own site.
+    fn bp_end(&mut self, bp: &Bp) {
+        self.scratch.clocks.clear();
+        let st = &mut self.st;
+        for id in 0..self.scenario.n_nodes {
+            let i = id as usize;
+            if !st.present[i] {
+                continue;
+            }
+            let local = st.oscs[i].local_us(bp.t_end);
+            let (node, mut ctx) = st.at(id, local);
+            node.on_bp_end(&mut ctx);
+            self.soa.refresh(i, &*st.nodes[i], &st.config);
+            if st.honest[i] && mirror!(self.soa, st.nodes, is_synchronized, i) {
+                let c = self
+                    .soa
+                    .clock_us(i, local)
+                    .unwrap_or_else(|| st.nodes[i].clock_us(local));
+                debug_assert_eq!(
+                    c.to_bits(),
+                    st.nodes[i].clock_us(local).to_bits(),
+                    "SoA affine clock diverged for node {i}"
+                );
+                self.scratch.clocks.push(c);
+            }
+        }
+    }
+
+    /// Stage 5, metrics: the BP's spread sample, also binned into the
+    /// telemetry histogram while telemetry records.
+    fn metrics(&mut self, bp: &Bp) {
+        self.tracker.sample(bp.t_end, &self.scratch.clocks);
+        if telemetry::enabled() {
+            if let Some(&spread) = self.tracker.series().values().last() {
+                self.spread_hist
+                    .get_or_insert_with(|| {
+                        Histogram::new(SPREAD_DIST.lo, SPREAD_DIST.hi, SPREAD_DIST.bins)
+                    })
+                    .record(spread);
+            }
+        }
+    }
+
+    /// Stage 6, tail: reference tracking (role changes, adversary capture)
+    /// and the hook's end-of-BP view.
+    fn tail(&mut self, bp: &mut Bp) {
+        let st = &self.st;
+        let n = self.scenario.n_nodes as usize;
+        let current_ref = (0..n)
+            .find(|&i| st.present[i] && mirror!(self.soa, st.nodes, is_reference, i))
+            .map(|i| i as NodeId);
+        if current_ref != self.last_reference {
+            if current_ref.is_some() {
+                self.reference_changes += 1;
+            }
+            self.last_reference = current_ref;
+            bp.disturbed = true;
+        }
+        for &atk in &self.adversary_ids {
+            if self.attacker_became_reference {
+                break;
+            }
+            if current_ref == Some(atk) {
+                self.attacker_became_reference = true;
+                break;
+            }
+            // An internal adversary acts as a *de facto* reference when the
+            // honest stations follow its beacons.
+            let followers = (0..n)
+                .filter(|&i| {
+                    st.present[i]
+                        && st.honest[i]
+                        && mirror!(self.soa, st.nodes, current_reference, i) == Some(atk)
+                })
+                .count();
+            let honest_present = (0..n).filter(|&i| st.present[i] && st.honest[i]).count();
+            if honest_present > 0 && followers * 2 > honest_present {
+                self.attacker_became_reference = true;
+            }
+        }
+
+        if self.active {
+            self.snapshots.clear();
+            for i in 0..n {
+                let node = &st.nodes[i];
+                self.snapshots.push(NodeSnapshot {
+                    id: i as NodeId,
+                    present: st.present[i],
+                    honest: st.honest[i],
+                    synchronized: node.is_synchronized(),
+                    is_reference: st.present[i] && node.is_reference(),
+                    clock_us: node.clock_us(st.oscs[i].local_us(bp.t_end)),
+                    stats: node.sstsp_stats(),
+                });
+            }
+            self.hook.on_bp_end(&BpView {
+                bp: bp.k,
+                t_end: bp.t_end,
+                nodes: &self.snapshots,
+                reference: current_ref,
+                disturbed: bp.disturbed,
+            });
+        }
+    }
+
+    /// After the last BP: fold the run's telemetry into the registry, log
+    /// each station's end state, and assemble the result, which the hook
+    /// sees last.
+    fn finish(self, sim: &Simulator<u64>) -> RunResult {
         // Run-level telemetry flush: the hot loop's counter block, the
         // per-BP spread samples, and simcore's event-loop pressure and RNG
         // consumption all land in the registry here, once per run. Gauges
         // high-water across a sweep; counters and histogram bins sum.
-        bp_counters.flush();
-        if let Some(h) = &spread_hist {
+        self.counters.flush();
+        if let Some(h) = &self.spread_hist {
             telemetry::dist_merge("engine.spread_us", h);
         }
         telemetry::gauge_max("engine.sim.events", sim.events_processed());
         telemetry::gauge_max("engine.queue.peak_pending", sim.peak_pending() as u64);
         telemetry::counter_add_many(&[
-            ("engine.rng.chan_draws", chan_rng.draws()),
-            ("engine.rng.jitter_draws", jitter_rng.draws()),
+            ("engine.rng.chan_draws", self.chan_rng.draws()),
+            ("engine.rng.jitter_draws", self.jitter_rng.draws()),
         ]);
         // Fold this thread's pending per-event (`LocalCounter`) deltas into
         // its shard: sweep worker threads never call `snapshot()`
         // themselves, so the engine flushes at the end of every run.
         telemetry::flush_local();
+
+        let t_last = self.horizon() - SimDuration::from_us(1);
+        let Run {
+            hook,
+            scenario,
+            st,
+            topology,
+            domains,
+            counters,
+            tracker,
+            reference_changes,
+            last_reference,
+            attacker_became_reference,
+            ..
+        } = self;
+        let Stations {
+            nodes,
+            oscs,
+            present,
+            honest,
+            ..
+        } = &st;
+        let n = scenario.n_nodes as usize;
+        let clock_at_end = |i: usize| nodes[i].clock_us(oscs[i].local_us(t_last));
 
         let mut guard_rejections = 0u64;
         let mut mutesla_rejections = 0u64;
@@ -1180,54 +1321,44 @@ impl Network {
             if !honest[i] {
                 continue;
             }
-            if let Some(st) = node.sstsp_stats() {
-                guard_rejections += st.guard_rejections;
-                mutesla_rejections += st.mutesla_rejections;
-                retargets += st.retargets;
-                alerts += st.alerts;
+            if let Some(s) = node.sstsp_stats() {
+                guard_rejections += s.guard_rejections;
+                mutesla_rejections += s.mutesla_rejections;
+                retargets += s.retargets;
+                alerts += s.alerts;
             }
         }
 
         // Per-node end-of-run dump, formerly an `SSTSP_DEBUG_MH`-gated
         // eprintln. Routed through the structured log instead: silent by
         // default, on stderr with `SSTSP_LOG=debug`, capturable in tests.
-        {
-            let t_dbg = horizon - SimDuration::from_us(1);
-            let ref_clock = (0..scenario.n_nodes as usize)
-                .find(|&i| present[i] && nodes[i].is_reference())
-                .map(|i| nodes[i].clock_us(oscs[i].local_us(t_dbg)));
-            for i in 0..scenario.n_nodes as usize {
-                telemetry::log::debug("engine.run_end", || {
-                    let st = nodes[i].sstsp_stats();
-                    let c = nodes[i].clock_us(oscs[i].local_us(t_dbg));
-                    format!(
-                        "node {i}: present={} sync={} isref={} follows={:?} err_us={:.1} stats={:?}",
-                        present[i],
-                        nodes[i].is_synchronized(),
-                        nodes[i].is_reference(),
-                        nodes[i].current_reference(),
-                        ref_clock.map_or(f64::NAN, |rc| c - rc),
-                        st.map(|s| (s.retargets, s.guard_rejections, s.mutesla_rejections)),
-                    )
-                });
-            }
+        let ref_clock = st.reference().map(|r| clock_at_end(r as usize));
+        for i in 0..n {
+            telemetry::log::debug("engine.run_end", || {
+                let s = nodes[i].sstsp_stats();
+                format!(
+                    "node {i}: present={} sync={} isref={} follows={:?} err_us={:.1} stats={:?}",
+                    present[i],
+                    nodes[i].is_synchronized(),
+                    nodes[i].is_reference(),
+                    nodes[i].current_reference(),
+                    ref_clock.map_or(f64::NAN, |rc| clock_at_end(i) - rc),
+                    s.map(|s| (s.retargets, s.guard_rejections, s.mutesla_rejections)),
+                )
+            });
         }
 
         // Multi-hop: per-hop error profile against the final reference.
         let hop_profile = match (&topology, last_reference) {
             (Some(topo), Some(r)) if present[r as usize] => {
-                let t_end = horizon - SimDuration::from_us(1);
-                let ref_clock = nodes[r as usize].clock_us(oscs[r as usize].local_us(t_end));
+                let ref_clock = clock_at_end(r as usize);
                 let hops = topo.hops_from(r);
                 Some(
-                    (0..scenario.n_nodes as usize)
+                    (0..n)
                         .filter(|&i| {
                             present[i] && honest[i] && nodes[i].is_synchronized() && i as u32 != r
                         })
-                        .map(|i| {
-                            let c = nodes[i].clock_us(oscs[i].local_us(t_end));
-                            (hops[i], (c - ref_clock).abs())
-                        })
+                        .map(|i| (hops[i], (clock_at_end(i) - ref_clock).abs()))
                         .collect(),
                 )
             }
@@ -1238,7 +1369,6 @@ impl Network {
         // intra-domain agreement — the per-domain analogue of the global
         // spread metric, which keeps measuring *cross*-domain agreement).
         let domain_report = domains.as_ref().map(|d| {
-            let t_end = horizon - SimDuration::from_us(1);
             d.domains
                 .iter()
                 .enumerate()
@@ -1253,7 +1383,7 @@ impl Network {
                     for &id in members {
                         let i = id as usize;
                         if present[i] && honest[i] && nodes[i].is_synchronized() {
-                            let c = nodes[i].clock_us(oscs[i].local_us(t_end));
+                            let c = clock_at_end(i);
                             lo = lo.min(c);
                             hi = hi.max(c);
                             qualified += 1;
@@ -1272,7 +1402,7 @@ impl Network {
         let criterion = SyncCriterion::default();
         let sync_latency_s = criterion.latency(tracker.series()).map(|t| t.as_secs_f64());
         let steady_error_us = criterion.steady_state_error(tracker.series());
-        // The BP handler samples the tracker every BP, and every scenario
+        // The BP loop samples the tracker every BP, and every scenario
         // runs at least one BP, so an empty tracker here is a logic error.
         let peak = tracker
             .peak()
@@ -1282,10 +1412,10 @@ impl Network {
             sync_latency_s,
             steady_error_us,
             peak_spread_us: peak,
-            tx_successes,
-            tx_collisions,
-            silent_windows,
-            jammed_windows,
+            tx_successes: counters.window_success,
+            tx_collisions: counters.window_collision,
+            silent_windows: counters.window_silent,
+            jammed_windows: counters.window_jammed,
             reference_changes,
             final_reference: last_reference,
             attacker_became_reference,

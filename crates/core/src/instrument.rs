@@ -1,20 +1,21 @@
-//! Engine instrumentation: the hook surface the fault-injection and
-//! invariant-checking layers attach to.
+//! Engine instrumentation: the hook surface the fault-injection,
+//! invariant-checking and trace-recording layers attach to.
 //!
 //! The engine itself stays policy-free: it exposes *where* faults can act
-//! (BP boundaries, individual beacon deliveries) and *what* can be observed
-//! (per-delivery protocol state deltas, per-BP node snapshots), while the
-//! `faults` crate supplies the schedules and the [`crate::invariants`]
-//! module the checks. A [`NoopHook`] run is bit-identical to an uninstrumented
-//! one: hooks receive copies and deltas, never mutable engine internals, and
-//! every fault-layer random decision comes from the hook's own RNG stream —
-//! the engine's streams are never touched.
+//! (BP starts, individual beacon deliveries) and *what* can be observed
+//! (transmissions, per-delivery protocol state deltas, per-BP node
+//! snapshots), while the `faults` crate supplies the schedules and the
+//! [`crate::invariants`] module the checks. Each callback comes from one of
+//! the engine's per-BP stages (see [`EngineHook`]). A [`NoopHook`] run is
+//! bit-identical to an uninstrumented one: hooks receive copies and
+//! deltas, never mutable engine internals, and every fault-layer random
+//! decision comes from the hook's own RNG stream — the engine's streams
+//! are never touched.
 
 use crate::scenario::ScenarioConfig;
 use protocols::api::{AnchorRegistry, BeaconPayload, NodeId};
 use protocols::sstsp::SstspStats;
 use simcore::SimTime;
-pub use wireless::WindowOutcome;
 
 /// A state change the engine applies on behalf of a fault plan at the start
 /// of a beacon period. Actions are the only way a hook mutates the network;
@@ -179,10 +180,10 @@ pub struct BpView<'a> {
 /// Observer/actor attached to a [`crate::engine::Network`] run.
 ///
 /// All methods have no-op defaults; implementors override what they need.
-/// The engine calls them in a fixed order per BP: `on_bp_start` (collect
-/// fault actions) → `on_window` (single-hop) → `on_beacon_tx` per
-/// transmission → `on_delivery`/`post_delivery` per beacon delivery →
-/// `on_bp_end` after metrics.
+/// The engine calls them in a fixed order per BP, from its stages:
+/// `on_bp_start` (events: collect fault actions) → `on_beacon_tx` per
+/// transmission and `on_delivery`/`post_delivery` per beacon delivery
+/// (window + delivery) → `on_bp_end` (tail, after metrics).
 pub trait EngineHook {
     /// Whether the hook wants the per-event callbacks. When `false` the
     /// engine calls only `on_run_start` and `on_run_end`, keeping the
@@ -196,22 +197,12 @@ pub trait EngineHook {
 
     /// Called at the start of each BP; push [`FaultAction`]s into `actions`
     /// to mutate the network. Applied in order, before the beacon window.
-    fn on_bp_start(&mut self, _bp: u64, _t0: SimTime, _actions: &mut Vec<FaultAction>) {}
-
-    /// Called after the MAC contention window resolves, before the outcome
-    /// is applied; `live` is what the channel model produced. Returning
-    /// `Some` replaces it — this is the replay seam: a recorded schedule
-    /// drives the run through here while the live outcome stays available
-    /// for divergence cross-checking. Single-hop runs only; mesh window
-    /// resolution is per-link and has no single window outcome to override.
-    fn on_window(&mut self, _bp: u64, _live: &WindowOutcome) -> Option<WindowOutcome> {
-        None
-    }
+    fn on_bp_start(&mut self, _bp: u64, _actions: &mut Vec<FaultAction>) {}
 
     /// Called once per transmitted beacon (after the contention window
     /// resolves, before per-receiver deliveries). Trace recorders use this
     /// to log the send side; deliveries are observed per-receiver.
-    fn on_beacon_tx(&mut self, _bp: u64, _src: NodeId, _t_tx: SimTime) {}
+    fn on_beacon_tx(&mut self, _bp: u64, _src: NodeId) {}
 
     /// Called for each beacon delivery before the receiver processes it.
     /// The hook may mutate the payload (corruption faults) or drop it.

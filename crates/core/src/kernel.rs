@@ -1,37 +1,28 @@
-//! Large-n kernel: dense node state and the quiescent-BP timeline.
+//! Large-n kernel: dense node state.
 //!
 //! Reaching every station through a `Box<dyn SyncProtocol>` is fine at the
 //! paper's n = 30, but at n = 1000+ the virtual dispatch and scattered node
-//! structs dominate the beacon period. This module holds the two data
-//! structures the engine's beacon-period loop uses to avoid that work
-//! without changing a single observable bit:
+//! structs dominate the beacon period. [`NodeSoa`] is how the engine's
+//! beacon-period stages avoid that work without changing a single
+//! observable bit: a structure-of-arrays mirror of each node's
+//! [`HotState`](protocols::api::HotState) — adjusted-clock `(k, b)`
+//! coefficients, synchronized/reference flags, followed reference, and the
+//! statically-known beacon intent, all in dense parallel vectors. The
+//! engine refreshes a node's entry after every callback that can mutate
+//! its state, then answers the per-BP metric queries (spread sampling,
+//! reference lookup, follower counting) and the intent scan with linear
+//! passes over these vectors. A station with a static intent skips its
+//! `intent()` call; that covers the reference, silent stations and, in
+//! SSTSP, election contenders whose contention probability has saturated,
+//! which are three quarters of the intents of a 5000-station election that
+//! never resolves. The `engine.intent.cached` and `engine.intent.called`
+//! counters record the split.
 //!
-//! * [`NodeSoa`] — a structure-of-arrays mirror of each node's
-//!   [`HotState`](protocols::api::HotState): adjusted-clock `(k, b)`
-//!   coefficients, synchronized/reference flags, followed reference, and
-//!   the statically-known beacon intent, all in dense parallel vectors.
-//!   The engine refreshes a node's entry after every callback that can
-//!   mutate its state, then answers the per-BP metric queries (spread
-//!   sampling, reference lookup, follower counting) and the intent scan
-//!   with linear passes over these vectors. A station with a static
-//!   intent skips its `intent()` call; that covers the reference, silent
-//!   stations and, in SSTSP, election contenders whose contention
-//!   probability has saturated, which are three quarters of the intents
-//!   of a 5000-station election that never resolves. The
-//!   `engine.intent.cached` and `engine.intent.called` counters record
-//!   the split.
-//! * [`BpTimeline`] — a precomputed per-BP "anything scheduled?" bitmap
-//!   over churn departures, reference departures, jamming windows and
-//!   attacker or campaign activity. On a quiescent BP (nothing scheduled,
-//!   no rejoin due, no hook fault action, no fault-layer jam) the engine
-//!   skips the scenario-event scans entirely.
-//!
-//! Both structures are pure caches: every value they hold must equal what
-//! the corresponding trait call would return at the instant of use. Debug
+//! The mirror is a pure cache: every value it holds must equal what the
+//! corresponding trait call would return at the instant of use. Debug
 //! builds cross-check every read against that trait call.
 
 use protocols::api::{BeaconIntent, HotState, NodeId, ProtocolConfig, SyncProtocol};
-use simcore::{SimDuration, SimTime};
 
 /// Structure-of-arrays mirror of the per-node [`HotState`] snapshots.
 #[derive(Debug)]
@@ -129,90 +120,5 @@ impl NodeSoa {
     #[inline]
     pub fn static_intent(&self, i: usize) -> Option<BeaconIntent> {
         self.static_intent[i]
-    }
-}
-
-/// Precomputed per-BP scenario-event map: which beacon periods have *any*
-/// scheduled disturbance (churn departure, reference departure, jamming
-/// window, attacker or campaign activity).
-///
-/// Jam and attack windows are specified in seconds and the engine compares
-/// them against the BP start time, so the builder replicates the engine's
-/// exact time accumulation (`t += bp` from zero) and float comparisons —
-/// the bitmap answers precisely the same predicate the per-BP scans would.
-#[derive(Debug)]
-pub struct BpTimeline {
-    interesting: Vec<bool>,
-}
-
-impl BpTimeline {
-    /// Build the map for BPs `1..=total_bps`.
-    ///
-    /// `windows_s` holds `(start_s, end_s)` pairs for every jamming window
-    /// and attacker activity window; a BP whose start time `t` satisfies
-    /// `start_s <= t < end_s` for any pair is interesting, as are the BPs
-    /// in `churn_bps` / `ref_leave_bps`.
-    pub fn build(
-        total_bps: u64,
-        bp: SimDuration,
-        churn_bps: &[u64],
-        ref_leave_bps: &[u64],
-        windows_s: &[(f64, f64)],
-    ) -> Self {
-        let mut interesting = vec![false; (total_bps + 1) as usize];
-        for &k in churn_bps.iter().chain(ref_leave_bps) {
-            if let Some(slot) = interesting.get_mut(k as usize) {
-                *slot = true;
-            }
-        }
-        // Same accumulation as the simulator's event chain: BP k starts at
-        // ZERO + k·bp reached by repeated addition.
-        let mut t = SimTime::ZERO;
-        for k in 1..=total_bps {
-            t += bp;
-            let t_secs = t.as_secs_f64();
-            if windows_s.iter().any(|&(s, e)| t_secs >= s && t_secs < e) {
-                interesting[k as usize] = true;
-            }
-        }
-        BpTimeline { interesting }
-    }
-
-    /// Whether BP `k` has any scheduled scenario event. Out-of-range
-    /// indices (defensive) count as interesting.
-    #[inline]
-    pub fn interesting(&self, k: u64) -> bool {
-        self.interesting.get(k as usize).copied().unwrap_or(true)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn timeline_marks_scheduled_events() {
-        let bp = SimDuration::from_us_f64(100_000.0);
-        let tl = BpTimeline::build(100, bp, &[10, 20], &[30], &[(5.0, 5.3)]);
-        assert!(tl.interesting(10));
-        assert!(tl.interesting(20));
-        assert!(tl.interesting(30));
-        // 5.0 s at 0.1 s BPs is BP 50; the window [5.0, 5.3) covers BP
-        // starts 5.0, 5.1, 5.2.
-        assert!(!tl.interesting(49));
-        assert!(tl.interesting(50));
-        assert!(tl.interesting(51));
-        assert!(tl.interesting(52));
-        assert!(!tl.interesting(53));
-        assert!(!tl.interesting(1));
-        // Out of range is conservatively interesting.
-        assert!(tl.interesting(101));
-    }
-
-    #[test]
-    fn timeline_empty_scenario_is_all_quiet() {
-        let bp = SimDuration::from_us_f64(100_000.0);
-        let tl = BpTimeline::build(50, bp, &[], &[], &[]);
-        assert!((1..=50).all(|k| !tl.interesting(k)));
     }
 }

@@ -7,16 +7,19 @@
 //!   size, churn, reference departures, attacker, seeds) with constructors
 //!   matching each of the paper's experiments;
 //! * [`engine`] — the network simulation engine: drives every node through
-//!   beacon periods on the shared single-collision-domain channel, applies
-//!   churn and attacks, and records the maximum-clock-difference series;
-//! * [`instrument`] — the engine hook surface: fault-injection layers and
-//!   invariant checkers attach to runs without perturbing them;
+//!   beacon periods on the shared channel (or a mesh), one loop of six
+//!   named stages (events, intents, window + delivery, BP end, metrics,
+//!   tail), applies churn and attacks, and records the
+//!   maximum-clock-difference series;
+//! * [`instrument`] — the engine hook surface: fault-injection layers,
+//!   invariant checkers and trace recorders attach to runs without
+//!   perturbing them;
 //! * [`invariants`] — the protocol invariant checker evaluated every beacon
 //!   period (clock monotonicity, guard influence bound, µTESLA key
 //!   freshness, synced-set spread bound);
-//! * [`kernel`] — the large-n kernel: dense structure-of-arrays node state
-//!   and the quiescent-BP timeline, pure caches the engine's one
-//!   beacon-period loop reads (cross-checked in debug builds);
+//! * [`kernel`] — the large-n kernel: dense structure-of-arrays node
+//!   state, a pure cache the engine's stages read (cross-checked in debug
+//!   builds);
 //! * [`experiments`] — one module per table/figure of the paper, each
 //!   producing the exact rows/series the paper reports;
 //! * [`sweep`] — rayon-parallel seed and parameter sweeps (deterministic

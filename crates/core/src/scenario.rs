@@ -580,11 +580,14 @@ impl ScenarioConfig {
             );
         }
         for &t in &self.ref_leaves_s {
-            // BPs count from 1: a departure at BP 0 would never fire.
+            // BPs count from 1: a departure at BP 0, or past the last BP,
+            // would never fire.
+            let last = self.total_bps();
             ensure!(
-                t.is_finite() && self.bps(t) >= 1,
+                t.is_finite() && (1..=last).contains(&self.bps(t)),
                 F::RefLeaves,
-                "a departure must be finite and round to BP 1 or later, got {t:?} s"
+                "a departure must be finite and round to a BP of the run, 1..={last}; \
+                 got {t:?} s"
             );
         }
         let window = |start: f64, end: f64| start >= 0.0 && end > start && end.is_finite();
@@ -798,6 +801,12 @@ mod tests {
                 F::RefLeaves,
                 edited(|c| c.ref_leaves_s = vec![2.0, 0.05]),
                 edited(|c| c.ref_leaves_s = vec![2.0, 0.049]),
+            ),
+            // The 5 s run's last BP is BP 50.
+            (
+                F::RefLeaves,
+                edited(|c| c.ref_leaves_s = vec![2.0, 5.0]),
+                edited(|c| c.ref_leaves_s = vec![2.0, 5.1]),
             ),
             (
                 F::Attack,

@@ -12,11 +12,10 @@
 //! uses. Protocols without stats classify as [`RxOutcome::Ignored`].
 
 use crate::engine::RunResult;
-use crate::instrument::{BpView, DeliveryCtx, DeliveryFate, DeliveryObs, EngineHook};
+use crate::instrument::{BpView, DeliveryObs, EngineHook};
 use crate::scenario::{CampaignSpec, ScenarioConfig, TopologySpec};
-use protocols::api::{AnchorRegistry, BeaconPayload, NodeId};
+use protocols::api::{AnchorRegistry, NodeId};
 use protocols::sstsp::SstspStats;
-use simcore::SimTime;
 use sstsp_telemetry::{RxOutcome, TraceEvent};
 use wireless::{DomainDecomposition, Topology};
 
@@ -148,15 +147,11 @@ impl EngineHook for TraceRecorder {
         });
     }
 
-    fn on_beacon_tx(&mut self, bp: u64, src: NodeId, _t_tx: SimTime) {
+    fn on_beacon_tx(&mut self, bp: u64, src: NodeId) {
         self.events.push(TraceEvent::BeaconTx { bp, src });
         if let Some(ev) = self.campaign_annotation(bp, src) {
             self.events.push(ev);
         }
-    }
-
-    fn on_delivery(&mut self, _ctx: &DeliveryCtx, _payload: &mut BeaconPayload) -> DeliveryFate {
-        DeliveryFate::Deliver
     }
 
     fn post_delivery(&mut self, obs: &DeliveryObs<'_>) {

@@ -339,3 +339,33 @@ pub fn fuzz<L: FnMut(&str)>(cfg: &FuzzConfig, mut log: L) -> FuzzReport {
         failure: None,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every generated case, and what the shrinker makes of it, keeps to
+    /// the spec parser's rules, so each reported reproducer replays from
+    /// its printed spec.
+    #[test]
+    fn generated_and_shrunk_cases_parse_back() {
+        let mut rng = ChaCha12Rng::seed_from_u64(2006);
+        for i in 0..300 {
+            let case = match i % 3 {
+                0 => random_case(&mut rng, 4),
+                1 => random_mesh_case(&mut rng, 4),
+                _ => random_campaign_case(&mut rng, 4),
+            };
+            // A stand-in failure that survives every pass but the last
+            // event's removal, so the shrinker walks each dimension down.
+            let shrunk = shrink(case.clone(), |c| !c.plan.events.is_empty());
+            for case in [case, shrunk] {
+                let spec = case.to_string();
+                let parsed: FuzzCase = spec
+                    .parse()
+                    .unwrap_or_else(|e| panic!("`{spec}` does not parse: {e}"));
+                assert_eq!(parsed, case);
+            }
+        }
+    }
+}

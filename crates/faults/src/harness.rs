@@ -15,7 +15,6 @@
 use protocols::api::{AnchorRegistry, BeaconPayload, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use simcore::SimTime;
 use sstsp::engine::{Network, RunResult};
 use sstsp::instrument::{BpView, DeliveryCtx, DeliveryFate, DeliveryObs, EngineHook, FaultAction};
 use sstsp::invariants::{InvariantChecker, InvariantKind, Violation};
@@ -84,7 +83,7 @@ impl EngineHook for FaultHarness {
         self.checker.on_run_start(scenario, anchors);
     }
 
-    fn on_bp_start(&mut self, bp: u64, _t0: SimTime, actions: &mut Vec<FaultAction>) {
+    fn on_bp_start(&mut self, bp: u64, actions: &mut Vec<FaultAction>) {
         let mut disturbed = false;
         for ev in &self.events {
             if ev.start_bp == bp {
@@ -231,10 +230,10 @@ fn invariant_token(kind: InvariantKind) -> &'static str {
 /// plan executes exactly as in [`run_case`] while the recorder captures the
 /// event stream, interleaving the fault layer's own observations — hook
 /// drops and invariant violations — at the position they happened.
-pub(crate) struct TracedHarness {
-    pub(crate) harness: FaultHarness,
-    pub(crate) recorder: TraceRecorder,
-    pub(crate) violations_seen: usize,
+struct TracedHarness {
+    harness: FaultHarness,
+    recorder: TraceRecorder,
+    violations_seen: usize,
 }
 
 impl TracedHarness {
@@ -260,12 +259,12 @@ impl EngineHook for TracedHarness {
         self.recorder.on_run_start(scenario, anchors);
     }
 
-    fn on_bp_start(&mut self, bp: u64, t0: SimTime, actions: &mut Vec<FaultAction>) {
-        self.harness.on_bp_start(bp, t0, actions);
+    fn on_bp_start(&mut self, bp: u64, actions: &mut Vec<FaultAction>) {
+        self.harness.on_bp_start(bp, actions);
     }
 
-    fn on_beacon_tx(&mut self, bp: u64, src: NodeId, t_tx: SimTime) {
-        self.recorder.on_beacon_tx(bp, src, t_tx);
+    fn on_beacon_tx(&mut self, bp: u64, src: NodeId) {
+        self.recorder.on_beacon_tx(bp, src);
     }
 
     fn on_delivery(&mut self, ctx: &DeliveryCtx, payload: &mut BeaconPayload) -> DeliveryFate {

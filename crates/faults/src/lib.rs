@@ -11,10 +11,10 @@
 //! * [`harness`] — the [`sstsp::instrument::EngineHook`] that executes a
 //!   plan against a run while feeding every observation to the protocol
 //!   invariant checker ([`sstsp::invariants`]);
-//! * [`replay`] — trace-driven record/replay: re-executes a recorded JSONL
-//!   trace, drives the MAC windows from the recorded beacon schedule, and
-//!   cross-checks every event against the live model, reporting structured
-//!   divergences (BP index, event kind, expected vs. recorded);
+//! * [`replay`] — trace-driven record/replay: re-executes the case of a
+//!   recorded JSONL trace and diffs the live model's event stream against
+//!   the recording, reporting the first divergence (BP index, event kind,
+//!   expected vs. recorded) for every topology;
 //! * [`shrink`] — greedy deterministic minimization of failing cases;
 //! * [`fuzz`] — seeded random fault plans swept across N / m / δ, with
 //!   automatic shrinking of any violation to a minimal reproducer;

@@ -143,6 +143,51 @@ impl FaultEvent {
     pub fn active_at(&self, bp: u64) -> bool {
         bp >= self.start_bp && bp <= self.end_bp
     }
+
+    /// Whether the event can act in a run of `total_bps` BPs on `n_nodes`
+    /// stations: its window starts at a BP of the run (they count from 1)
+    /// and does not end before it starts, its station is one of the run's,
+    /// its probability lies in [0, 1], its clock step is finite, and its
+    /// chain exhausts at a BP of the run.
+    fn check(&self, n_nodes: u32, total_bps: u64) -> Result<(), SpecError> {
+        let err = |msg: String| Err(SpecError(msg));
+        let (start, end) = (self.start_bp, self.end_bp);
+        if start == 0 || start > total_bps {
+            return err(format!(
+                "the window must start at a BP of the run, 1..={total_bps}; got {start}"
+            ));
+        }
+        if end < start {
+            return err(format!("the window ends at BP {end}, before it starts"));
+        }
+        match self.kind {
+            FaultKind::Crash { node, .. }
+            | FaultKind::ClockStep { node, .. }
+            | FaultKind::ClockFreeze { node }
+                if node >= n_nodes =>
+            {
+                err(format!(
+                    "`node` {node} is not one of the run's {n_nodes} stations"
+                ))
+            }
+            FaultKind::BurstLoss { p }
+            | FaultKind::Corrupt { p, .. }
+            | FaultKind::DisclosureLoss { p }
+                if !(0.0..=1.0).contains(&p) =>
+            {
+                err(format!("`p` must be in [0, 1], got {p}"))
+            }
+            FaultKind::ClockStep { delta_us, .. } if !delta_us.is_finite() => {
+                err(format!("`us` must be finite, got {delta_us}"))
+            }
+            FaultKind::ChainExhaust { intervals } if intervals == 0 || intervals > total_bps => {
+                err(format!(
+                    "`at` must be a BP of the run, 1..={total_bps}; got {intervals}"
+                ))
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// A composable, deterministic fault schedule.
@@ -503,6 +548,13 @@ impl FromStr for FuzzCase {
                 .unwrap_or(key);
             in_token(token)(SpecError(e.reason))
         })?;
+        // A fault plan acts on the run the dimensions describe.
+        let scenario = case.scenario();
+        let event_tokens = s.split_whitespace().filter(|t| t.contains('@'));
+        for (token, ev) in event_tokens.zip(&case.plan.events) {
+            ev.check(scenario.n_nodes, scenario.total_bps())
+                .map_err(in_token(token))?;
+        }
         Ok(case)
     }
 }
@@ -770,12 +822,58 @@ mod tests {
                 "n=8 dur=5 seed=7 m=4 delta=300 plan=0 mesh=rgg:100:5",
                 "mesh=rgg:100:5",
             ),
+            // A bridged mesh fixes the station count (13) before the fault
+            // plan's station ids are checked against it.
+            (
+                "n=99 dur=5 seed=7 m=4 delta=300 plan=0 mesh=bridged:2:3:2 \
+                 crash@10..10:node=13,rejoin=never",
+                "crash@10..10:node=13,rejoin=never",
+            ),
         ] {
             let SpecError(msg) = spec.parse::<FuzzCase>().unwrap_err();
             assert!(
                 msg.contains(&format!("`{token}`")),
                 "error for `{spec}` does not name `{token}`: {msg}"
             );
+        }
+        // Fault values that parsed and then panicked the engine (a
+        // zero-length chain, a station past the count, a probability or
+        // clock step the channel, RNG or oscillator refuses), a chain too
+        // long to build, and windows that never fire or end before they
+        // start, on a run of 50 BPs and 8 stations.
+        for event in [
+            "exhaust@0..0:at=0",
+            "exhaust@10..10:at=0",
+            "exhaust@10..10:at=1000000000000",
+            "crash@10..10:node=99,rejoin=never",
+            "step@10..10:node=8,us=5",
+            "freeze@10..12:node=50",
+            "burst@10..20:p=nan",
+            "burst@10..20:p=1.5",
+            "corrupt@10..20:field=mac,p=-0.1",
+            "discloss@10..20:p=2",
+            "step@10..10:node=2,us=inf",
+            "step@10..10:node=2,us=nan",
+            "burst@0..10:p=0.5",
+            "burst@40..10:p=0.5",
+            "burst@51..60:p=0.5",
+        ] {
+            let spec = format!("n=8 dur=5 seed=7 m=4 delta=300 plan=0 {event}");
+            let SpecError(msg) = spec.parse::<FuzzCase>().unwrap_err();
+            assert!(
+                msg.contains(&format!("`{event}`")),
+                "error for `{spec}` does not name `{event}`: {msg}"
+            );
+        }
+        // The last BP, the last station and the unit probability pass.
+        for event in [
+            "burst@50..60:p=1",
+            "crash@50..50:node=7,rejoin=never",
+            "exhaust@50..50:at=50",
+        ] {
+            let spec = format!("n=8 dur=5 seed=7 m=4 delta=300 plan=0 {event}");
+            spec.parse::<FuzzCase>()
+                .unwrap_or_else(|e| panic!("rejected `{spec}`: {e}"));
         }
     }
 

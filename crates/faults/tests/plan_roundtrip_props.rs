@@ -1,6 +1,6 @@
 //! Property pin: the one-line case spec is a true inverse pair —
-//! `parse(format(case)) == case` for *every* representable case, across
-//! all fault-kind variants and the `mesh=` dimension. Floats print in
+//! `parse(format(case)) == case` for *every* valid case, across all
+//! fault-kind variants and the `mesh=` dimension. Floats print in
 //! shortest-round-trip form, so exact equality is the right check.
 
 use proptest::prelude::*;
@@ -22,7 +22,9 @@ fn rejoin() -> BoxedStrategy<Option<u64>> {
     prop_oneof![Just(None), (1u64..500).prop_map(Some)].boxed()
 }
 
-/// Every [`FaultKind`] variant, parameters drawn across their domains.
+/// Every [`FaultKind`] variant, parameters drawn across their domains
+/// (station ids and exhaustion BPs are wrapped into the case's run in
+/// [`fuzz_case`]).
 fn fault_kind() -> BoxedStrategy<FaultKind> {
     prop_oneof![
         (0.0..=1.0).prop_map(|p| FaultKind::BurstLoss { p }),
@@ -50,6 +52,8 @@ fn fault_kind() -> BoxedStrategy<FaultKind> {
     .boxed()
 }
 
+/// A fault event; its window start is wrapped into the case's run in
+/// [`fuzz_case`].
 fn fault_event() -> BoxedStrategy<FaultEvent> {
     (0u64..400, 0u64..200, fault_kind())
         .prop_map(|(start_bp, len, kind)| FaultEvent {
@@ -139,6 +143,25 @@ fn fuzz_case() -> BoxedStrategy<FuzzCase> {
                 // rejects smaller ones.
                 if case.mesh == Some(TopologySpec::Ring) {
                     case.n = case.n.max(3);
+                }
+                // Wrap each fault into the run, as the parser requires: its
+                // window starts at one of the run's BPs (from 1), and its
+                // station and exhaustion BP are the run's.
+                let scenario = case.scenario();
+                let (n, bps) = (scenario.n_nodes, scenario.total_bps());
+                for ev in &mut case.plan.events {
+                    let len = ev.end_bp - ev.start_bp;
+                    ev.start_bp = 1 + ev.start_bp % bps;
+                    ev.end_bp = ev.start_bp + len;
+                    match &mut ev.kind {
+                        FaultKind::Crash { node, .. }
+                        | FaultKind::ClockStep { node, .. }
+                        | FaultKind::ClockFreeze { node } => *node %= n,
+                        FaultKind::ChainExhaust { intervals } => {
+                            *intervals = 1 + (*intervals - 1) % bps
+                        }
+                        _ => {}
+                    }
                 }
                 if let Some((kind, raw_attackers, start_s, end_s)) = campaign {
                     // Clamp the coalition into the case's station budget;

@@ -5,9 +5,10 @@
 //! recording run's — at every rayon pool size (`scripts/check.sh` re-runs
 //! this suite at `RAYON_NUM_THREADS=1,2,8`; the in-process pools here pin
 //! the same property without re-spawning the binary). A trace with a
-//! single mutated event — a dropped beacon, a reordered disclosure
-//! verdict, a flipped domain-election winner — must be detected and
-//! located: the first divergence names the exact BP and event kind.
+//! single mutated event — a dropped or inserted beacon, a reordered
+//! disclosure verdict, a flipped domain-election winner — must be detected
+//! and located, single-hop and bridged alike: the first divergence names
+//! the exact BP and event kind.
 
 use rayon::ThreadPool;
 use sstsp_faults::replay::{replay_trace, to_replayable_jsonl};
@@ -20,6 +21,8 @@ use sstsp_telemetry::{TraceEvent, TRACE_SCHEMA};
 const SINGLE_HOP: &str = "n=6 dur=10 seed=11 m=4 delta=300 plan=5 discloss@5..60:p=0.5";
 /// The golden 2-domain bridged mesh (same shape `mesh_golden.rs` pins).
 const BRIDGED: &str = "n=13 dur=12 seed=7 m=4 delta=300 plan=0 mesh=bridged:2:3:2";
+/// Single-hop case under burst loss; no beacon is sent at its BP 59.
+const SINGLE_HOP_BURST: &str = "n=12 dur=30 seed=7 m=4 delta=300 plan=3 burst@40..90:p=0.85";
 
 /// Record `spec` under telemetry: (case, events, trace file, snapshot).
 fn record(spec: &str) -> (FuzzCase, Vec<TraceEvent>, String, String) {
@@ -39,8 +42,8 @@ fn assert_faithful_roundtrip(jsonl: &str, snap: &str) {
     drop(guard);
     assert!(
         report.is_faithful(),
-        "faithful trace reported divergences: {:?}",
-        report.divergences
+        "faithful trace reported a divergence: {:?}",
+        report.divergence
     );
     assert_eq!(
         report.to_jsonl().expect("replay re-encodes"),
@@ -82,8 +85,8 @@ fn first_divergence(case: &FuzzCase, events: &[TraceEvent]) -> (u64, String) {
         "mutation went undetected ({} events)",
         events.len()
     );
-    let d = report.first_divergence().expect("divergence present");
-    (d.bp, d.kind.clone())
+    let d = report.divergence.expect("divergence present");
+    (d.bp, d.kind)
 }
 
 #[test]
@@ -182,6 +185,44 @@ fn flipped_domain_election_winner_is_located_across_pool_sizes() {
             "wrong kind at {threads} threads"
         );
     }
+}
+
+/// Insert a `beacon_tx` at `bp`, a BP the live run sent no beacon in,
+/// ahead of the BP's first event: the first divergence is at `bp`, with
+/// the inserted event on its recorded side.
+fn assert_inserted_beacon_located(spec: &str, bp: u64) {
+    let (case, events, _, _) = record(spec);
+    assert!(
+        !events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::BeaconTx { bp: b, .. } if *b == bp)),
+        "`{spec}` sends a beacon at BP {bp}"
+    );
+    let idx = events
+        .iter()
+        .position(|e| e.bp() == Some(bp))
+        .expect("the run reaches the BP");
+    let inserted = TraceEvent::BeaconTx { bp, src: 0 };
+    let mut mutated = events;
+    mutated.insert(idx, inserted.clone());
+    let jsonl = to_replayable_jsonl(&case, &mutated).expect("mutated trace encodes");
+    let _session = sstsp_telemetry::recording();
+    let report = replay_trace(&jsonl).expect("mutated trace still parses");
+    let d = report.divergence.expect("inserted beacon went undetected");
+    assert_eq!(d.bp, bp, "wrong BP for `{spec}`");
+    assert_eq!(
+        d.recorded,
+        inserted.to_jsonl().expect("event encodes"),
+        "recorded side for `{spec}`"
+    );
+}
+
+#[test]
+fn inserted_beacon_is_located_single_hop_and_bridged() {
+    assert_inserted_beacon_located(SINGLE_HOP_BURST, 59);
+    // The bridged mesh elects its references from BP 11 on; nothing is
+    // sent before.
+    assert_inserted_beacon_located(BRIDGED, 5);
 }
 
 #[test]

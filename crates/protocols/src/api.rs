@@ -242,19 +242,11 @@ pub struct ProtocolConfig {
     pub m: u32,
     /// SSTSP: fine-phase guard time δ, µs.
     pub guard_fine_us: f64,
-    /// SSTSP: loose threshold used by the coarse phase, µs.
-    pub guard_coarse_us: f64,
     /// Nominal transmission + propagation delay `t_p` receivers add to
     /// beacon timestamps, µs.
     pub t_p_us: f64,
-    /// SSTSP: BPs a (re)joining node spends scanning in the coarse phase.
-    pub coarse_scan_bps: u32,
     /// Hash-chain length (must cover every BP of the run).
     pub total_intervals: usize,
-    /// ATSP: competition interval `I_max` for non-fastest stations.
-    pub atsp_imax: u32,
-    /// SATSF: ceiling of the adaptive competition-frequency score.
-    pub satsf_fft_max: u32,
     /// SSTSP: optional attack-recovery policy (the paper's future work —
     /// detect, alert, optionally restart synchronization).
     pub recovery: Option<RecoveryPolicy>,
@@ -300,12 +292,8 @@ impl ProtocolConfig {
             l: 1,
             m: 4,
             guard_fine_us: 300.0,
-            guard_coarse_us: 5_000.0,
             t_p_us: 63.5,
-            coarse_scan_bps: 5,
             total_intervals: 10_100,
-            atsp_imax: 10,
-            satsf_fft_max: 8,
             recovery: None,
             multihop_relay: false,
             beacon_airtime_slots: 7,
@@ -552,7 +540,7 @@ mod tests {
         assert_eq!(c.w, 30);
         assert_eq!(c.l, 1);
         assert!(c.total_intervals > 10_000, "chain must cover a 1000 s run");
-        assert!(c.guard_coarse_us > c.guard_fine_us);
+        assert!(crate::sstsp::GUARD_COARSE_US > c.guard_fine_us);
         let c2 = ProtocolConfig::paper().with_m(2).with_l(3);
         assert_eq!(c2.m, 2);
         assert_eq!(c2.l, 3);

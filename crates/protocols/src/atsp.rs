@@ -20,6 +20,9 @@ use crate::api::{BeaconIntent, BeaconPayload, NodeCtx, ReceivedBeacon, SyncProto
 use clocks::TsfTimer;
 use mac80211::frame::BeaconBody;
 
+/// Competition interval `I_max` of the non-fastest stations, in BPs.
+const I_MAX: u32 = 10;
+
 /// A station running ATSP.
 #[derive(Debug, Clone)]
 pub struct AtspNode {
@@ -95,14 +98,14 @@ impl SyncProtocol for AtspNode {
         }
     }
 
-    fn on_bp_end(&mut self, ctx: &mut NodeCtx<'_>) {
+    fn on_bp_end(&mut self, _ctx: &mut NodeCtx<'_>) {
         if self.updated_this_bp {
             // Someone faster exists: back off to the slow competition tier.
-            self.interval = ctx.config.atsp_imax;
+            self.interval = I_MAX;
             self.bps_since_update = 0;
         } else {
             self.bps_since_update = self.bps_since_update.saturating_add(1);
-            if self.bps_since_update >= ctx.config.atsp_imax {
+            if self.bps_since_update >= I_MAX {
                 // Nothing faster heard for a full cycle: assume fastest.
                 self.interval = 1;
             }
@@ -165,10 +168,10 @@ mod tests {
         let mut h = TestHarness::new(1);
         n.on_beacon(&mut h.ctx(0.0), beacon(1_000_000));
         n.on_bp_end(&mut h.ctx(0.0));
-        assert_eq!(n.competition_interval(), h.config.atsp_imax);
+        assert_eq!(n.competition_interval(), I_MAX);
         // Now it contends only once per I_max BPs.
         let mut contends = 0;
-        for _ in 0..h.config.atsp_imax {
+        for _ in 0..I_MAX {
             if n.intent(&mut h.ctx(2_000_000.0)) == BeaconIntent::Contend {
                 contends += 1;
             }
@@ -183,9 +186,9 @@ mod tests {
         let mut h = TestHarness::new(1);
         n.on_beacon(&mut h.ctx(0.0), beacon(1_000_000));
         n.on_bp_end(&mut h.ctx(0.0));
-        assert_eq!(n.competition_interval(), h.config.atsp_imax);
+        assert_eq!(n.competition_interval(), I_MAX);
         // I_max quiet BPs → believes itself fastest again.
-        for _ in 0..h.config.atsp_imax {
+        for _ in 0..I_MAX {
             n.on_bp_end(&mut h.ctx(2_000_000.0));
         }
         assert_eq!(n.competition_interval(), 1);

@@ -17,6 +17,9 @@ use crate::api::{BeaconIntent, BeaconPayload, NodeCtx, ReceivedBeacon, SyncProto
 use clocks::TsfTimer;
 use mac80211::frame::BeaconBody;
 
+/// Ceiling `FFT_max` of the adaptive competition-frequency score.
+const FFT_MAX: u32 = 8;
+
 /// A station running SATSF.
 #[derive(Debug, Clone)]
 pub struct SatsfNode {
@@ -53,18 +56,18 @@ impl SatsfNode {
         self.fft
     }
 
-    fn period(&self, fft_max: u32) -> u32 {
-        fft_max + 1 - self.fft.min(fft_max)
+    fn period(&self) -> u32 {
+        FFT_MAX + 1 - self.fft.min(FFT_MAX)
     }
 }
 
 impl SyncProtocol for SatsfNode {
-    fn intent(&mut self, ctx: &mut NodeCtx<'_>) -> BeaconIntent {
+    fn intent(&mut self, _ctx: &mut NodeCtx<'_>) -> BeaconIntent {
         if !self.present {
             return BeaconIntent::Silent;
         }
         if self.countdown == 0 {
-            self.countdown = self.period(ctx.config.satsf_fft_max);
+            self.countdown = self.period();
             BeaconIntent::Contend
         } else {
             BeaconIntent::Silent
@@ -91,13 +94,13 @@ impl SyncProtocol for SatsfNode {
         }
     }
 
-    fn on_bp_end(&mut self, ctx: &mut NodeCtx<'_>) {
+    fn on_bp_end(&mut self, _ctx: &mut NodeCtx<'_>) {
         if self.updated_this_bp {
             // A faster clock exists: fall back to the minimum frequency.
             self.fft = 1;
         } else {
             // No faster clock heard this BP: gradually raise the frequency.
-            self.fft = (self.fft + 1).min(ctx.config.satsf_fft_max);
+            self.fft = (self.fft + 1).min(FFT_MAX);
         }
         self.updated_this_bp = false;
         self.countdown = self.countdown.saturating_sub(1);
@@ -144,7 +147,7 @@ mod tests {
     fn quiet_station_ramps_to_max_frequency() {
         let mut n = SatsfNode::new();
         let mut h = TestHarness::new(1);
-        let max = h.config.satsf_fft_max;
+        let max = FFT_MAX;
         for _ in 0..max + 5 {
             n.on_bp_end(&mut h.ctx(1_000_000.0));
         }
@@ -172,7 +175,7 @@ mod tests {
     fn score_1_competes_every_fft_max_bps() {
         let mut n = SatsfNode::new();
         let mut h = TestHarness::new(1);
-        let max = h.config.satsf_fft_max;
+        let max = FFT_MAX;
         let mut contends = 0;
         let mut ts = 1_000_000u64;
         for _ in 0..max {
@@ -192,7 +195,7 @@ mod tests {
         let mut n = SatsfNode::new();
         let mut h = TestHarness::new(1);
         let mut last = n.fft();
-        for _ in 0..h.config.satsf_fft_max + 2 {
+        for _ in 0..FFT_MAX + 2 {
             n.on_bp_end(&mut h.ctx(0.0));
             assert!(n.fft() >= last);
             last = n.fft();

@@ -50,6 +50,13 @@ use std::collections::VecDeque;
 /// next use pays one anchor walk again.
 const VERIFIER_CACHE_CAP: usize = 8;
 
+/// The loose guard threshold, µs, of a station not yet locked to the fine
+/// guard δ; the coarse phase filters its offsets with it too.
+pub(crate) const GUARD_COARSE_US: f64 = 5_000.0;
+
+/// BPs a (re)joining station spends scanning in the coarse phase.
+const COARSE_SCAN_BPS: u32 = 5;
+
 /// Diagnostic counters exposed for tests, ablations and reports.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SstspStats {
@@ -227,18 +234,6 @@ impl SstspNode {
             sub_missed: 0,
             stats: SstspStats::default(),
         }
-    }
-
-    /// A station joining an operating network: starts in the coarse phase.
-    pub fn joining(coarse_scan_bps: u32) -> Self {
-        let mut n = Self::founding();
-        n.synchronized = false;
-        n.missed_bps = 0;
-        n.phase = Phase::Coarse {
-            offsets: Vec::new(),
-            bps_left: coarse_scan_bps,
-        };
-        n
     }
 
     /// Whether the node considers itself synchronized with the network.
@@ -563,7 +558,7 @@ impl SstspNode {
         let guard = if self.guard_locked {
             ctx.config.guard_fine_us
         } else {
-            ctx.config.guard_coarse_us
+            GUARD_COARSE_US
         };
         // Test-only planted bug (mutation sanity check): treat δ as
         // infinite, disabling the guard entirely.
@@ -783,14 +778,14 @@ impl SstspNode {
                 self.guard_locked = false;
                 self.phase = Phase::Coarse {
                     offsets: Vec::new(),
-                    bps_left: ctx.config.coarse_scan_bps,
+                    bps_left: COARSE_SCAN_BPS,
                 };
             }
         }
     }
 
     fn finish_coarse(&mut self, ctx: &mut NodeCtx<'_>, offsets: &[f64]) -> bool {
-        let filter = sync_analysis::ThresholdFilter::new(ctx.config.guard_coarse_us);
+        let filter = sync_analysis::ThresholdFilter::new(GUARD_COARSE_US);
         match filter.filtered_mean(offsets) {
             Some(mean) => {
                 let now = self.adjusted.value(ctx.local_us);
@@ -990,7 +985,7 @@ impl SyncProtocol for SstspNode {
                         // Nothing heard: keep scanning another round.
                         self.phase = Phase::Coarse {
                             offsets: Vec::new(),
-                            bps_left: ctx.config.coarse_scan_bps,
+                            bps_left: COARSE_SCAN_BPS,
                         };
                     }
                 }
@@ -1030,7 +1025,7 @@ impl SyncProtocol for SstspNode {
                             self.guard_locked = false;
                             self.phase = Phase::Coarse {
                                 offsets: Vec::new(),
-                                bps_left: ctx.config.coarse_scan_bps,
+                                bps_left: COARSE_SCAN_BPS,
                             };
                         }
                     } else if self.saw_beacon {
@@ -1081,7 +1076,7 @@ impl SyncProtocol for SstspNode {
         self.adjusted.value(local_us)
     }
 
-    fn on_join(&mut self, ctx: &mut NodeCtx<'_>) {
+    fn on_join(&mut self, _ctx: &mut NodeCtx<'_>) {
         self.stash_verifier();
         self.present = true;
         self.synchronized = false;
@@ -1094,7 +1089,7 @@ impl SyncProtocol for SstspNode {
         self.eligible_bps = 0;
         self.phase = Phase::Coarse {
             offsets: Vec::new(),
-            bps_left: ctx.config.coarse_scan_bps,
+            bps_left: COARSE_SCAN_BPS,
         };
     }
 

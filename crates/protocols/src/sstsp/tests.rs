@@ -354,8 +354,8 @@ fn joining_node_runs_coarse_phase() {
     let intent = duo.with_ctx(1, t, |n, ctx| n.intent(ctx));
     assert_eq!(intent, BeaconIntent::Silent);
 
-    // Scan coarse_scan_bps BPs of reference beacons.
-    let scan = duo.config.coarse_scan_bps as u64;
+    // Scan COARSE_SCAN_BPS BPs of reference beacons.
+    let scan = COARSE_SCAN_BPS as u64;
     for k in 2..(2 + scan) {
         duo.run_bp(k);
     }
@@ -643,7 +643,7 @@ mod guard_lock_props {
 
             // The coarse scan must complete and hand over to a fresh fine
             // lock within scan + convergence BPs.
-            let deadline = k0 + duo.config.coarse_scan_bps as u64 + 40;
+            let deadline = k0 + COARSE_SCAN_BPS as u64 + 40;
             let relocked = drive_until_locked(&mut duo, k0, deadline);
             prop_assert!(relocked.is_some(), "member never re-locked after rejoin");
             prop_assert!(duo.nodes[1].is_synchronized());

@@ -61,61 +61,69 @@ for threads in 1 2 8; do
     RAYON_NUM_THREADS=$threads cargo test -q --release -p sstsp --test thread_determinism
 done
 
-echo "==> record/replay round trip (golden 2-domain bridged scenario, byte-identical)"
+echo "==> record/replay round trips (single-hop and bridged, byte-identical at RAYON_NUM_THREADS=1,2,8)"
 SIM=target/release/sstsp-sim
 REPLAY_TMP=$(mktemp -d)
 trap 'rm -rf "$REPLAY_TMP"' EXIT
 cargo build --release -q --bin sstsp-sim
-$SIM trace "n=13 dur=12 seed=7 m=4 delta=300 plan=0 mesh=bridged:2:3:2" \
-    --out "$REPLAY_TMP/rec.jsonl" 2>"$REPLAY_TMP/rec.err"
-for threads in 1 2 8; do
-    echo "    RAYON_NUM_THREADS=$threads"
-    RAYON_NUM_THREADS=$threads $SIM replay "$REPLAY_TMP/rec.jsonl" --strict \
-        --out "$REPLAY_TMP/rep.jsonl" 2>"$REPLAY_TMP/rep.err" >/dev/null
-    cmp "$REPLAY_TMP/rec.jsonl" "$REPLAY_TMP/rep.jsonl" || {
-        echo "ERROR: replay is not byte-identical to the recording" >&2
-        exit 1
-    }
-    diff <(sed -n '/--- telemetry ---/,$p' "$REPLAY_TMP/rec.err") \
-        <(sed -n '/--- telemetry ---/,$p' "$REPLAY_TMP/rep.err") || {
-        echo "ERROR: replay telemetry diverged from the recording" >&2
-        exit 1
-    }
-done
-
-echo "==> campaign record/replay round trip (reference-slot jammer on the bridged mesh)"
-$SIM trace "n=13 dur=12 seed=7 m=4 delta=300 plan=0 mesh=bridged:2:3:2 campaign=jamref:1:4:9" \
-    --out "$REPLAY_TMP/camp.jsonl" 2>/dev/null
+# roundtrip NAME SPEC: record SPEC to $REPLAY_TMP/NAME.jsonl, then replay it
+# --strict at each pool size; the regenerated trace and the telemetry
+# snapshot must match the recording's byte for byte.
+roundtrip() {
+    local name=$1 spec=$2
+    echo "    $name: $spec"
+    $SIM trace "$spec" --out "$REPLAY_TMP/$name.jsonl" 2>"$REPLAY_TMP/$name.err"
+    for threads in 1 2 8; do
+        RAYON_NUM_THREADS=$threads $SIM replay "$REPLAY_TMP/$name.jsonl" --strict \
+            --out "$REPLAY_TMP/$name.rep.jsonl" 2>"$REPLAY_TMP/$name.rep.err" >/dev/null
+        cmp "$REPLAY_TMP/$name.jsonl" "$REPLAY_TMP/$name.rep.jsonl" || {
+            echo "ERROR: $name replay at $threads threads is not byte-identical to the recording" >&2
+            exit 1
+        }
+        diff <(sed -n '/--- telemetry ---/,$p' "$REPLAY_TMP/$name.err") \
+            <(sed -n '/--- telemetry ---/,$p' "$REPLAY_TMP/$name.rep.err") || {
+            echo "ERROR: $name replay telemetry at $threads threads diverged from the recording" >&2
+            exit 1
+        }
+    done
+}
+roundtrip rec "n=13 dur=12 seed=7 m=4 delta=300 plan=0 mesh=bridged:2:3:2"
+roundtrip single "n=12 dur=30 seed=7 m=4 delta=300 plan=3 burst@40..90:p=0.85"
+# The reference-slot jammer campaign on the bridged mesh.
+roundtrip camp "n=13 dur=12 seed=7 m=4 delta=300 plan=0 mesh=bridged:2:3:2 campaign=jamref:1:4:9"
 grep -q '"ev":"campaign"' "$REPLAY_TMP/camp.jsonl" || {
     echo "ERROR: campaign trace carries no campaign events" >&2
     exit 1
 }
-for threads in 1 2 8; do
-    echo "    RAYON_NUM_THREADS=$threads"
-    RAYON_NUM_THREADS=$threads $SIM replay "$REPLAY_TMP/camp.jsonl" --strict \
-        --out "$REPLAY_TMP/camp_rep.jsonl" >/dev/null 2>&1
-    cmp "$REPLAY_TMP/camp.jsonl" "$REPLAY_TMP/camp_rep.jsonl" || {
-        echo "ERROR: campaign replay is not byte-identical to the recording" >&2
-        exit 1
-    }
-done
 
 echo "==> replay divergence detection (mutated trace must fail --strict, locating BP + kind)"
+# expect_divergence TRACE LOCATION: replaying the mutated TRACE --strict
+# must fail and name LOCATION (`BP <n> [<kind>]`) as the first divergence.
+expect_divergence() {
+    if $SIM replay "$1" --strict >"$REPLAY_TMP/mut.out" 2>/dev/null; then
+        echo "ERROR: mutated trace $1 passed --strict replay" >&2
+        exit 1
+    fi
+    grep -qF "$2" "$REPLAY_TMP/mut.out" || {
+        echo "ERROR: divergence not located (expected '$2'):" >&2
+        cat "$REPLAY_TMP/mut.out" >&2
+        exit 1
+    }
+}
 sed 's/"domain_ref_change","bp":11,"domain":1,"from":null,"to":6/"domain_ref_change","bp":11,"domain":1,"from":null,"to":7/' \
     "$REPLAY_TMP/rec.jsonl" >"$REPLAY_TMP/mut.jsonl"
 cmp -s "$REPLAY_TMP/rec.jsonl" "$REPLAY_TMP/mut.jsonl" && {
     echo "ERROR: mutation sed matched nothing — golden election transcript moved?" >&2
     exit 1
 }
-if $SIM replay "$REPLAY_TMP/mut.jsonl" --strict >"$REPLAY_TMP/mut.out" 2>/dev/null; then
-    echo "ERROR: mutated trace passed --strict replay" >&2
-    exit 1
-fi
-grep -q 'BP 11 \[domain_ref_change\]' "$REPLAY_TMP/mut.out" || {
-    echo "ERROR: divergence not located (expected 'BP 11 [domain_ref_change]'):" >&2
-    cat "$REPLAY_TMP/mut.out" >&2
-    exit 1
-}
+expect_divergence "$REPLAY_TMP/mut.jsonl" "BP 11 [domain_ref_change]"
+# Single-hop: delete the first beacon sent at BP 100 or later.
+awk '!done && /^\{"ev":"beacon_tx","bp":[0-9]+,/ {
+        split($0, f, /[:,]/)
+        if (f[4] >= 100) { done = 1; next }
+    }
+    { print }' "$REPLAY_TMP/single.jsonl" >"$REPLAY_TMP/mut.jsonl"
+expect_divergence "$REPLAY_TMP/mut.jsonl" "BP 100 [beacon_tx]"
 
 echo "==> trace schema-version mismatch is refused (exit 2)"
 sed '1s/"schema":1/"schema":99/' "$REPLAY_TMP/rec.jsonl" >"$REPLAY_TMP/schema.jsonl"
@@ -159,7 +167,7 @@ for bad in "--jam 50,20" "--jam 20,20" "--attack 600,400,30" "--churn 0,0.5,10" 
     "--mesh bridged:2:65536:65536" "--mesh bridged:4294967295:1:1" \
     "--mesh rgg:1000:1" "--mesh rgg:100:5" \
     "--per nan" "--per -1" "--per 1" "--per 2" "--churn 0.01,0.5,10" \
-    "--ref-leaves nan" "--ref-leaves -5"; do
+    "--ref-leaves nan" "--ref-leaves -5" "--ref-leaves 100"; do
     # shellcheck disable=SC2086
     expect_usage_error $bad --nodes 8
 done
@@ -184,6 +192,31 @@ expect_usage_error trace "n=2 dur=5 seed=7 m=4 delta=300 plan=0 mesh=ring"
 # A random geometric graph with no connected placement at the run's seed
 # used to panic the engine's topology build.
 expect_usage_error trace "n=8 dur=5 seed=7 m=4 delta=300 plan=0 mesh=rgg:1000:1"
+# Fault-plan values that panicked the engine (a zero-length chain, a
+# station past the count, a probability or clock step out of range), a
+# chain too long to build, and windows that never fire or end before they
+# start. The run has 50 BPs on 8 stations; the bridged mesh fixes 13. A
+# trace file's header and scenario_fuzz replay go through the same parser.
+for event in "exhaust@0..0:at=0" "exhaust@10..10:at=1000000000000" \
+    "crash@10..10:node=99,rejoin=never" "step@10..10:node=8,us=5" "freeze@10..12:node=50" \
+    "burst@10..20:p=nan" "burst@10..20:p=1.5" "corrupt@10..20:field=mac,p=-0.1" \
+    "discloss@10..20:p=2" "step@10..10:node=2,us=inf" \
+    "burst@0..10:p=0.5" "burst@40..10:p=0.5" "burst@51..60:p=0.5" \
+    "mesh=bridged:2:3:2 crash@10..10:node=13,rejoin=never"; do
+    expect_usage_error trace "n=8 dur=5 seed=7 m=4 delta=300 plan=0 $event"
+    set +e
+    timeout 60 target/release/scenario_fuzz replay "n=8 dur=5 seed=7 m=4 delta=300 plan=0 $event" \
+        >/dev/null 2>&1
+    rc=$?
+    set -e
+    if [ "$rc" -ne 2 ]; then
+        echo "ERROR: 'scenario_fuzz replay' of '$event' exited $rc, want 2" >&2
+        exit 1
+    fi
+done
+sed '1s/plan=0/plan=0 crash@10..10:node=99,rejoin=never/' "$REPLAY_TMP/rec.jsonl" \
+    >"$REPLAY_TMP/badcase.jsonl"
+expect_usage_error replay "$REPLAY_TMP/badcase.jsonl"
 
 echo "==> work-stealing deque stress smoke (concurrent steal, exactly-once claims)"
 cargo test -q --release -p rayon deque_stress

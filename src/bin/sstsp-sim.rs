@@ -5,7 +5,7 @@
 //! sstsp-sim --protocol tsf --nodes 300 --duration 1000 --csv out.csv
 //! sstsp-sim --protocol sstsp --nodes 500 --m 4 --attack 400,600,30 --chart
 //! sstsp-sim trace "n=12 dur=30 seed=7 m=4 delta=300 plan=3 burst@40..90:p=0.85" --out run.jsonl
-//! sstsp-sim replay run.jsonl --strict --report
+//! sstsp-sim replay run.jsonl --strict
 //! ```
 //!
 //! Flags:
@@ -38,10 +38,15 @@
 //! run needs ≥ 2 stations; a positive duration whose µTESLA interval count
 //! fits a `u32` (~4.29e8 s); m ≥ 1; δ > 0; PER in [0, 1); a churn period of
 //! ≥ 1 BP (0.05 s), fraction in [0, 1], absence ≥ 0; reference departures
-//! at BP ≥ 1; windows with 0 ≤ start < end; a campaign that leaves an
-//! honest island station and two honest stations; `D` ≥ 2, `C`, `R` ≥ 1
-//! within `u32`; `SIDE`, `RANGE` > 0 with a connected placement at the
-//! seed; a `ring` of ≥ 3. Every number must be finite.
+//! at a BP of the run (1 up to the last); windows with 0 ≤ start < end; a
+//! campaign that leaves an honest island station and two honest stations;
+//! `D` ≥ 2, `C`, `R` ≥ 1 within `u32`; `SIDE`, `RANGE` > 0 with a
+//! connected placement at the seed; a `ring` of ≥ 3. Every number must be
+//! finite. A `trace` spec's fault events must also fit its run: each
+//! window starts at a BP of the run and ends no earlier, each `node` is
+//! one of its stations, each `p` lies in [0, 1], a `step`'s `us` is finite
+//! and an `exhaust`'s `at` is a BP of the run; a spec that breaks one
+//! exits 2 naming its token.
 //!
 //! The `trace` subcommand runs a fault-plan case spec — the same one-line
 //! format the scenario fuzzer prints for failing cases — under trace
@@ -52,13 +57,16 @@
 //! telemetry metrics snapshot goes to stderr.
 //!
 //! The `replay` subcommand is its inverse: `sstsp-sim replay FILE` parses
-//! a recorded trace, re-executes the case with the engine driven from the
-//! recorded beacon schedule, and cross-checks every event against the live
-//! model. Divergences print as `BP <n> [<kind>]: expected ..., recorded
-//! ...` lines. Flags: `--report` prints every divergence (default: first
-//! only), `--strict` exits 1 when any divergence is found, `--out PATH`
-//! writes the regenerated trace (byte-identical to the input for a
-//! faithful recording). Unreadable or schema-mismatched traces exit 2.
+//! a recorded trace, re-executes its case, and diffs the live model's
+//! event stream against the recording, for any topology. The first
+//! divergence prints as `first divergence: BP <n> [<kind>]: expected ...,
+//! recorded ...`, named by the live model's event kind (the recording's
+//! past the end of the live stream); past it the streams no longer line
+//! up, so nothing further is reported. Flags: `--strict` exits 1 on a
+//! divergence, `--out PATH` writes the regenerated trace (byte-identical
+//! to the input for a faithful recording). Unreadable or
+//! schema-mismatched traces, and a case spec the trace header carries that
+//! `trace` would reject, exit 2.
 
 use sstsp::scenario::{AttackerSpec, ChurnConfig, JamWindow, ScenarioField, TopologySpec};
 use sstsp::{Network, ProtocolKind, ScenarioConfig};
@@ -152,18 +160,16 @@ fn run_trace(args: &[String]) -> ! {
     std::process::exit(if outcome.violations.is_empty() { 0 } else { 1 })
 }
 
-/// `sstsp-sim replay FILE [--strict] [--report] [--out PATH]` — re-execute
-/// a recorded trace and cross-check it against the live model.
+/// `sstsp-sim replay FILE [--strict] [--out PATH]` — re-execute a
+/// recorded trace and diff it against the live model.
 fn run_replay(args: &[String]) -> ! {
     let mut file = None::<String>;
     let mut strict = false;
-    let mut report_all = false;
     let mut out = None::<String>;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--strict" => strict = true,
-            "--report" => report_all = true,
             "--out" => {
                 out = Some(
                     it.next()
@@ -215,18 +221,12 @@ fn run_replay(args: &[String]) -> ! {
         report.result.mutesla_rejections,
     );
     eprintln!("violations: {}", report.violations.len());
-    match report.divergences.len() {
-        0 => println!(
+    match &report.divergence {
+        None => println!(
             "replay faithful: {} events byte-identical",
             report.events.len()
         ),
-        n => {
-            println!("{n} divergence(s); first:");
-            let shown = if report_all { n } else { 1 };
-            for d in report.divergences.iter().take(shown) {
-                println!("  {d}");
-            }
-        }
+        Some(d) => println!("first divergence: {d}"),
     }
     eprintln!("--- telemetry ---\n{}", snap.render_text());
     std::process::exit(if strict && !report.is_faithful() {
