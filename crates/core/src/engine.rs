@@ -789,6 +789,10 @@ impl<'h> Run<'h> {
         }
         bp.disturbed |= self.st.rejoin_due(k, t0, &mut self.soa);
         let sc = &self.scenario;
+        // A station that leaves at BP k returns at BP k + max(1, n): this
+        // BP's rejoins have already run, so an absence that rounds to 0
+        // BPs still comes back at the next one.
+        let rejoin_at = |n: u64| k.saturating_add(n.max(1));
         // Churn departs stations at every multiple of its period before
         // the last BP.
         if let Some(churn) = sc.churn {
@@ -805,31 +809,31 @@ impl<'h> Run<'h> {
                 for pick in 0..quota {
                     let j = self.scenario_rng.random_range(pick..pool.len());
                     pool.swap(pick, j);
-                    st.depart(pool[pick], t0, Some(k + sc.bps(churn.absence_s)));
+                    st.depart(pool[pick], t0, Some(rejoin_at(sc.bps(churn.absence_s))));
                 }
                 bp.disturbed |= quota > 0;
             }
         }
         if self.ref_leave_bps.contains(&k) {
             if let Some(id) = self.st.reference() {
-                self.st.depart(id, t0, Some(k + sc.bps(sc.ref_absence_s)));
+                self.st
+                    .depart(id, t0, Some(rejoin_at(sc.bps(sc.ref_absence_s))));
                 bp.disturbed = true;
             }
         }
 
         // Fault actions apply after churn, so a fault plan targeting the
         // reference sees the network exactly as the scenario left it.
-        let rejoin_at = |r: Option<u64>| r.map(|r| k.saturating_add(r.max(1)));
         for &action in &self.fault_actions {
             bp.disturbed = true;
             match action {
                 FaultAction::Crash {
                     node,
                     rejoin_after_bps,
-                } => self.st.depart(node, t0, rejoin_at(rejoin_after_bps)),
+                } => self.st.depart(node, t0, rejoin_after_bps.map(rejoin_at)),
                 FaultAction::KillReference { rejoin_after_bps } => {
                     if let Some(id) = self.st.reference() {
-                        self.st.depart(id, t0, rejoin_at(rejoin_after_bps));
+                        self.st.depart(id, t0, rejoin_after_bps.map(rejoin_at));
                     }
                 }
                 FaultAction::CrashDomain {
@@ -839,7 +843,7 @@ impl<'h> Run<'h> {
                     if let Some(d) = &self.domains {
                         for &node in &d.domains[domain as usize % d.len()] {
                             if !d.is_bridge(node) {
-                                self.st.depart(node, t0, rejoin_at(rejoin_after_bps));
+                                self.st.depart(node, t0, rejoin_after_bps.map(rejoin_at));
                             }
                         }
                     }
@@ -850,7 +854,7 @@ impl<'h> Run<'h> {
                 } => {
                     if let Some(d) = self.domains.as_ref().filter(|d| !d.bridges.is_empty()) {
                         let node = d.bridges[bridge as usize % d.bridges.len()];
-                        self.st.depart(node, t0, rejoin_at(rejoin_after_bps));
+                        self.st.depart(node, t0, rejoin_after_bps.map(rejoin_at));
                     }
                 }
                 FaultAction::ClockStep { node, delta_us } => {
@@ -1513,5 +1517,37 @@ mod tests {
             .max_in(SimTime::from_secs(8), SimTime::from_secs(10))
             .unwrap();
         assert!(tail < 25.0, "post-jam spread {tail} µs");
+    }
+
+    #[test]
+    fn jam_window_starting_at_the_last_bp_jams_it() {
+        // The 5 s run's last BP, BP 50, starts at 5 s.
+        let mut cfg = ScenarioConfig::new(ProtocolKind::Sstsp, 5, 5.0, 11);
+        assert_eq!(Network::build(&cfg).run().jammed_windows, 0);
+        cfg.jam_windows.push(crate::scenario::JamWindow {
+            start_s: 5.0,
+            end_s: 6.0,
+        });
+        assert_eq!(Network::build(&cfg).run().jammed_windows, 1);
+    }
+
+    #[test]
+    fn churned_stations_return_when_their_absence_rounds_to_zero_bps() {
+        /// Counts the stations present in the run's last BP.
+        struct LastBp(usize);
+        impl EngineHook for LastBp {
+            fn on_bp_end(&mut self, view: &BpView<'_>) {
+                self.0 = view.nodes.iter().filter(|n| n.present).count();
+            }
+        }
+        let mut cfg = ScenarioConfig::new(ProtocolKind::Sstsp, 20, 30.0, 3);
+        cfg.churn = Some(crate::scenario::ChurnConfig {
+            period_s: 5.0,
+            fraction: 0.2,
+            absence_s: 0.0,
+        });
+        let mut last = LastBp(0);
+        Network::build(&cfg).run_with_hook(&mut last);
+        assert_eq!(last.0, 20);
     }
 }

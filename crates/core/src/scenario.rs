@@ -590,12 +590,18 @@ impl ScenarioConfig {
                  got {t:?} s"
             );
         }
-        let window = |start: f64, end: f64| start >= 0.0 && end > start && end.is_finite();
+        // The engine tests a window at BP starts only, so one that starts
+        // after the last BP's would never fire.
+        let last_s = self.total_bps() as f64 * pc.bp_us / 1e6;
+        let window = |start: f64, end: f64| {
+            (0.0..=last_s).contains(&start) && end > start && end.is_finite()
+        };
         if let Some(a) = self.attacker {
             ensure!(
                 window(a.start_s, a.end_s) && a.error_us.is_finite(),
                 F::Attack,
-                "needs a finite window 0 <= start < end and a finite error, got {:?},{:?},{:?}",
+                "needs a finite window 0 <= start < end, starting by {last_s} s (the last BP's \
+                 start), and a finite error; got {:?},{:?},{:?}",
                 a.start_s,
                 a.end_s,
                 a.error_us
@@ -605,7 +611,8 @@ impl ScenarioConfig {
             ensure!(
                 window(w.start_s, w.end_s),
                 F::Jam,
-                "needs a finite window 0 <= start < end, got {:?},{:?}",
+                "needs a finite window 0 <= start < end, starting by {last_s} s (the last BP's \
+                 start); got {:?},{:?}",
                 w.start_s,
                 w.end_s
             );
@@ -614,6 +621,12 @@ impl ScenarioConfig {
             let field = F::Campaign;
             c.validate()
                 .map_err(|reason| ScenarioError { field, reason })?;
+            ensure!(
+                (0.0..=last_s).contains(&c.start_s),
+                field,
+                "campaign starts at {} s, after the last BP's start at {last_s} s",
+                c.start_s
+            );
             ensure!(
                 c.attackers <= self.max_attackers(),
                 field,
@@ -817,6 +830,22 @@ mod tests {
                 F::Jam,
                 edited(|c| c.jam_windows = vec![window(0.0, 1e-9)]),
                 edited(|c| c.jam_windows = vec![window(-1e-9, 1.0)]),
+            ),
+            // Windows start by the 5 s run's last BP, which starts at 5 s.
+            (
+                F::Attack,
+                edited(|c| c.attacker = Some(attack(5.0, 6.0))),
+                edited(|c| c.attacker = Some(attack(5.0 + 1e-9, 6.0))),
+            ),
+            (
+                F::Jam,
+                edited(|c| c.jam_windows = vec![window(5.0, 6.0)]),
+                edited(|c| c.jam_windows = vec![window(5.0 + 1e-9, 6.0)]),
+            ),
+            (
+                F::Campaign,
+                edited(|c| c.campaign = campaign("coalition:2:30:2:5:6")),
+                edited(|c| c.campaign = campaign("coalition:2:30:2:5.000000001:6")),
             ),
             // 8 stations field 6 attackers and keep 2 honest.
             (

@@ -3,8 +3,9 @@
 //! `run_seeds` / `run_configs` parallelize over *runs*; each run is a pure
 //! function of its config and seed, and results are collected in input
 //! order. So the output must be bit-identical whether the pool has one
-//! thread or many — and now that the vendored rayon actually steals work,
-//! "many" means real concurrent interleavings, not a renamed loop.
+//! thread or many — and since the vendored rayon runs each batch on
+//! several threads claiming items from one counter, "many" means real
+//! concurrent interleavings, not a renamed loop.
 //!
 //! Two pins: an in-process one comparing scoped pools of 1, 2 and 8
 //! threads (sweep fingerprints *and* merged telemetry snapshots), and a
@@ -111,7 +112,7 @@ fn fingerprint() -> String {
 
 /// In-process pin: scoped pools of 1, 2 and 8 threads must produce the
 /// same sweep bytes and — because shard merging is commutative — the same
-/// merged telemetry snapshot, whatever the steal interleaving.
+/// merged telemetry snapshot, whatever the claim interleaving.
 #[test]
 fn sweeps_and_telemetry_identical_across_scoped_pools() {
     let run_at = |threads: usize| {

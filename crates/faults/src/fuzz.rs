@@ -356,10 +356,15 @@ mod tests {
                 1 => random_mesh_case(&mut rng, 4),
                 _ => random_campaign_case(&mut rng, 4),
             };
-            // A stand-in failure that survives every pass but the last
-            // event's removal, so the shrinker walks each dimension down.
+            // Stand-in failures that survive every pass but the last
+            // event's removal, so the shrinker walks each dimension down;
+            // the second also needs the case's campaign, if it has one.
             let shrunk = shrink(case.clone(), |c| !c.plan.events.is_empty());
-            for case in [case, shrunk] {
+            let attacked = case.campaign.is_some();
+            let kept = shrink(case.clone(), |c| {
+                !c.plan.events.is_empty() && c.campaign.is_some() == attacked
+            });
+            for case in [case, shrunk, kept] {
                 let spec = case.to_string();
                 let parsed: FuzzCase = spec
                     .parse()

@@ -102,10 +102,12 @@ pub fn shrink<F: FnMut(&FuzzCase) -> bool>(mut case: FuzzCase, mut still_fails: 
         if case.duration_s > MIN_DURATION_S {
             let mut cand = case.clone();
             cand.duration_s = (case.duration_s / 2.0).max(MIN_DURATION_S);
-            // Drop events scheduled past the shortened horizon.
+            // Drop events scheduled past the shortened horizon; a
+            // campaign that would start past it keeps the longer run.
             let bps = cand.total_bps();
             cand.plan.events.retain(|ev| ev.start_bp < bps);
-            if !cand.plan.events.is_empty() && still_fails(&cand) {
+            if !cand.plan.events.is_empty() && cand.scenario().check().is_ok() && still_fails(&cand)
+            {
                 case = cand;
                 progress = true;
             }

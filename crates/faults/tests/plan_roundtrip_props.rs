@@ -166,12 +166,16 @@ fn fuzz_case() -> BoxedStrategy<FuzzCase> {
                 if let Some((kind, raw_attackers, start_s, end_s)) = campaign {
                     // Clamp the coalition into the case's station budget;
                     // cases too small for a valid coalition stay honest.
+                    // Wrap the window's start into the run, as the parser
+                    // requires: it starts by the run's last BP.
                     let cap = case.scenario().max_attackers();
+                    let last_s = bps as f64 * scenario.protocol_config.bp_us / 1e6;
+                    let start = start_s % last_s;
                     let mut spec = CampaignSpec {
                         kind,
                         attackers: raw_attackers,
-                        start_s,
-                        end_s,
+                        start_s: start,
+                        end_s: start + (end_s - start_s),
                     };
                     if cap >= spec.min_attackers() {
                         spec.attackers = raw_attackers.clamp(spec.min_attackers(), cap);

@@ -130,9 +130,10 @@ thread_local! {
 ///
 /// Deltas become visible to [`snapshot`] only after a flush. The registry
 /// flushes the calling thread automatically in [`snapshot`] and when a
-/// [`RecordingGuard`] drops; long-lived worker threads (e.g. a rayon
-/// sweep) must call [`flush_local`] before their results are merged — the
-/// engine does so at the end of every run.
+/// [`RecordingGuard`] drops. Any other thread must call [`flush_local`]
+/// before it exits, or its pending deltas are lost with it: the sweep
+/// pool's threads exit after each batch, and the engine's end-of-run
+/// `flush_local` is what lands their counters.
 pub struct LocalCounter {
     name: &'static str,
     /// `0` = unassigned; otherwise `slot + 1`.

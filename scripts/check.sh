@@ -141,9 +141,11 @@ echo "==> CLI argument validation rejects malformed input (exit 2, never a panic
 # merely non-zero is not enough. The --mesh cases pin value validation:
 # degenerate specs (zero islands, empty island grid, zero-area disk, a
 # station count past u32, a disk graph with no connected placement) used
-# to parse and then panic, hang or abort the topology generators. Each case
-# runs under `timeout 60` (exit 124), so an input that hangs the simulator
-# fails the gate instead of blocking it.
+# to parse and then panic, hang or abort the topology generators. The last
+# cases start a reference departure, jam, attack or campaign after the
+# default 60 s run's last BP, where it used to be dropped silently. Each
+# case runs under `timeout 60` (exit 124), so an input that hangs the
+# simulator fails the gate instead of blocking it.
 expect_usage_error() {
     set +e
     timeout 60 "$SIM" "$@" >/dev/null 2>&1
@@ -167,7 +169,8 @@ for bad in "--jam 50,20" "--jam 20,20" "--attack 600,400,30" "--churn 0,0.5,10" 
     "--mesh bridged:2:65536:65536" "--mesh bridged:4294967295:1:1" \
     "--mesh rgg:1000:1" "--mesh rgg:100:5" \
     "--per nan" "--per -1" "--per 1" "--per 2" "--churn 0.01,0.5,10" \
-    "--ref-leaves nan" "--ref-leaves -5" "--ref-leaves 100"; do
+    "--ref-leaves nan" "--ref-leaves -5" "--ref-leaves 100" \
+    "--jam 100,200" "--attack 100,200,30" "--campaign jamref:1:100:200"; do
     # shellcheck disable=SC2086
     expect_usage_error $bad --nodes 8
 done
@@ -218,8 +221,18 @@ sed '1s/plan=0/plan=0 crash@10..10:node=99,rejoin=never/' "$REPLAY_TMP/rec.jsonl
     >"$REPLAY_TMP/badcase.jsonl"
 expect_usage_error replay "$REPLAY_TMP/badcase.jsonl"
 
-echo "==> work-stealing deque stress smoke (concurrent steal, exactly-once claims)"
-cargo test -q --release -p rayon deque_stress
+echo "==> sweep pool stress smoke (exactly-once claims, inline nesting, panics, concurrent submitters)"
+# A filter that matches no test still exits 0, so the step also checks
+# that the stress test ran.
+stress=$(cargo test -q --release -p rayon pool_stress 2>&1) || {
+    printf '%s\n' "$stress" >&2
+    exit 1
+}
+grep -q 'test result: ok. 1 passed' <<<"$stress" || {
+    echo "ERROR: no pool_stress test ran:" >&2
+    printf '%s\n' "$stress" >&2
+    exit 1
+}
 
 echo "==> no raw println!/eprintln! in library crates (use sstsp-telemetry log/trace)"
 # Library sources must emit through the telemetry layer so output is

@@ -38,11 +38,13 @@
 //! run needs ≥ 2 stations; a positive duration whose µTESLA interval count
 //! fits a `u32` (~4.29e8 s); m ≥ 1; δ > 0; PER in [0, 1); a churn period of
 //! ≥ 1 BP (0.05 s), fraction in [0, 1], absence ≥ 0; reference departures
-//! at a BP of the run (1 up to the last); windows with 0 ≤ start < end; a
-//! campaign that leaves an honest island station and two honest stations;
-//! `D` ≥ 2, `C`, `R` ≥ 1 within `u32`; `SIDE`, `RANGE` > 0 with a
-//! connected placement at the seed; a `ring` of ≥ 3. Every number must be
-//! finite. A `trace` spec's fault events must also fit its run: each
+//! at a BP of the run (1 up to the last); jam, attack and campaign windows
+//! with 0 ≤ start < end that start by the run's last BP (BP k starts at
+//! k·0.1 s, so a 60 s run's last BP starts at 60 s); a campaign that
+//! leaves an honest island station and two honest stations; `D` ≥ 2,
+//! `C`, `R` ≥ 1 within `u32`; `SIDE`, `RANGE` > 0 with a connected
+//! placement at the seed; a `ring` of ≥ 3. Every number must be finite.
+//! A `trace` spec's fault events must also fit its run: each
 //! window starts at a BP of the run and ends no earlier, each `node` is
 //! one of its stations, each `p` lies in [0, 1], a `step`'s `us` is finite
 //! and an `exhaust`'s `at` is a BP of the run; a spec that breaks one
