@@ -590,10 +590,6 @@ impl<P: SyncProtocol> SyncProtocol for CampaignMember<P> {
         self.inner.on_join(ctx);
     }
 
-    fn on_leave(&mut self, ctx: &mut NodeCtx<'_>) {
-        self.inner.on_leave(ctx);
-    }
-
     fn init(&mut self, ctx: &mut NodeCtx<'_>) {
         self.inner.init(ctx);
     }

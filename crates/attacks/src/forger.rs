@@ -84,19 +84,11 @@ impl SyncProtocol for ExternalForger {
         )
     }
 
-    fn on_tx_outcome(&mut self, _ctx: &mut NodeCtx<'_>, _collided: bool) {}
-
     fn on_beacon(&mut self, _ctx: &mut NodeCtx<'_>, _rx: ReceivedBeacon) {}
-
-    fn on_bp_end(&mut self, _ctx: &mut NodeCtx<'_>) {}
 
     fn clock_us(&self, local_us: f64) -> f64 {
         local_us
     }
-
-    fn on_join(&mut self, _ctx: &mut NodeCtx<'_>) {}
-
-    fn on_leave(&mut self, _ctx: &mut NodeCtx<'_>) {}
 }
 
 #[cfg(test)]

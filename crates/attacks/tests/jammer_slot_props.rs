@@ -37,14 +37,10 @@ impl SyncProtocol for StubTracker {
             hop: 0,
         })
     }
-    fn on_tx_outcome(&mut self, _ctx: &mut NodeCtx<'_>, _collided: bool) {}
     fn on_beacon(&mut self, _ctx: &mut NodeCtx<'_>, _rx: protocols::api::ReceivedBeacon) {}
-    fn on_bp_end(&mut self, _ctx: &mut NodeCtx<'_>) {}
     fn clock_us(&self, local_us: f64) -> f64 {
         local_us
     }
-    fn on_join(&mut self, _ctx: &mut NodeCtx<'_>) {}
-    fn on_leave(&mut self, _ctx: &mut NodeCtx<'_>) {}
     fn current_reference(&self) -> Option<NodeId> {
         self.0.get()
     }

@@ -580,22 +580,21 @@ impl Stations {
     }
 
     /// The first present station holding the reference role, by the trait
-    /// call (departures act before the SoA's end-of-BP refresh).
+    /// call.
     fn reference(&self) -> Option<NodeId> {
         (0..self.nodes.len() as NodeId)
             .find(|&id| self.present[id as usize] && self.nodes[id as usize].is_reference())
     }
 
-    /// Take a station off the air at `t0` (no-op if it is already absent),
-    /// queueing its rejoin for BP `rejoin_at`.
-    fn depart(&mut self, id: NodeId, t0: SimTime, rejoin_at: Option<u64>) {
+    /// Take a station off the air (no-op if it is already absent), queueing
+    /// its rejoin for BP `rejoin_at`. Its protocol is not told: nothing
+    /// calls it again until its rejoin.
+    fn depart(&mut self, id: NodeId, rejoin_at: Option<u64>) {
         if !self.present[id as usize] {
             return;
         }
         self.present[id as usize] = false;
         self.absent += 1;
-        let (node, mut ctx) = self.at_time(id, t0);
-        node.on_leave(&mut ctx);
         if let Some(due) = rejoin_at {
             self.returns.push((due, id));
         }
@@ -672,9 +671,11 @@ struct Run<'h> {
     /// The fault layer's jamming flag, OR-ed with the scenario's jam
     /// windows.
     fault_jam: bool,
-    /// Stations under adversary control: the lone attacker and every
-    /// campaign member (reference capture is tracked for all of them).
+    /// Stations under adversary control, ascending: the lone attacker and
+    /// every campaign member (reference capture is tracked for all of them).
     adversary_ids: Vec<NodeId>,
+    /// This BP's honest present followers of each of `adversary_ids`.
+    followers: Vec<usize>,
     reference_changes: u64,
     last_reference: Option<NodeId>,
     attacker_became_reference: bool,
@@ -708,7 +709,7 @@ impl<'h> Run<'h> {
         } = net;
         let n = sc.n_nodes as usize;
         let active = hook.active();
-        let adversary_ids = (0..n as NodeId)
+        let adversary_ids: Vec<NodeId> = (0..n as NodeId)
             .filter(|&i| !st.honest[i as usize])
             .collect();
         // One tick per run; perfbench's ledger counts runs by it.
@@ -734,6 +735,7 @@ impl<'h> Run<'h> {
             ref_leave_bps: sc.ref_leaves_s.iter().map(|&s| sc.bps(s)).collect(),
             fault_actions: Vec::new(),
             fault_jam: false,
+            followers: vec![0; adversary_ids.len()],
             adversary_ids,
             reference_changes: 0,
             last_reference: None,
@@ -793,7 +795,7 @@ impl<'h> Run<'h> {
                 for pick in 0..quota {
                     let j = self.scenario_rng.random_range(pick..pool.len());
                     pool.swap(pick, j);
-                    st.depart(pool[pick], t0, Some(rejoin_at(sc.bps(churn.absence_s))));
+                    st.depart(pool[pick], Some(rejoin_at(sc.bps(churn.absence_s))));
                 }
                 bp.disturbed |= quota > 0;
             }
@@ -801,7 +803,7 @@ impl<'h> Run<'h> {
         if self.ref_leave_bps.contains(&k) {
             if let Some(id) = self.st.reference() {
                 self.st
-                    .depart(id, t0, Some(rejoin_at(sc.bps(sc.ref_absence_s))));
+                    .depart(id, Some(rejoin_at(sc.bps(sc.ref_absence_s))));
                 bp.disturbed = true;
             }
         }
@@ -814,10 +816,10 @@ impl<'h> Run<'h> {
                 FaultAction::Crash {
                     node,
                     rejoin_after_bps,
-                } => self.st.depart(node, t0, rejoin_after_bps.map(rejoin_at)),
+                } => self.st.depart(node, rejoin_after_bps.map(rejoin_at)),
                 FaultAction::KillReference { rejoin_after_bps } => {
                     if let Some(id) = self.st.reference() {
-                        self.st.depart(id, t0, rejoin_after_bps.map(rejoin_at));
+                        self.st.depart(id, rejoin_after_bps.map(rejoin_at));
                     }
                 }
                 FaultAction::CrashDomain {
@@ -827,7 +829,7 @@ impl<'h> Run<'h> {
                     if let Some(d) = &self.domains {
                         for &node in &d.domains[domain as usize % d.len()] {
                             if !d.is_bridge(node) {
-                                self.st.depart(node, t0, rejoin_after_bps.map(rejoin_at));
+                                self.st.depart(node, rejoin_after_bps.map(rejoin_at));
                             }
                         }
                     }
@@ -838,7 +840,7 @@ impl<'h> Run<'h> {
                 } => {
                     if let Some(d) = self.domains.as_ref().filter(|d| !d.bridges.is_empty()) {
                         let node = d.bridges[bridge as usize % d.bridges.len()];
-                        self.st.depart(node, t0, rejoin_after_bps.map(rejoin_at));
+                        self.st.depart(node, rejoin_after_bps.map(rejoin_at));
                     }
                 }
                 FaultAction::ClockStep { node, delta_us } => {
@@ -1207,26 +1209,27 @@ impl<'h> Run<'h> {
             self.last_reference = current_ref;
             bp.disturbed = true;
         }
-        for &atk in &self.adversary_ids {
-            if self.attacker_became_reference {
-                break;
-            }
-            if current_ref == Some(atk) {
+        let adversary = |id: NodeId| self.adversary_ids.binary_search(&id).ok();
+        if !self.attacker_became_reference && !self.adversary_ids.is_empty() {
+            if current_ref.and_then(adversary).is_some() {
                 self.attacker_became_reference = true;
-                break;
-            }
-            // An internal adversary acts as a *de facto* reference when the
-            // honest stations follow its beacons.
-            let followers = (0..n)
-                .filter(|&i| {
-                    st.present[i]
-                        && st.honest[i]
-                        && mirror!(self.soa, st.nodes, current_reference, i) == Some(atk)
-                })
-                .count();
-            let honest_present = (0..n).filter(|&i| st.present[i] && st.honest[i]).count();
-            if honest_present > 0 && followers * 2 > honest_present {
-                self.attacker_became_reference = true;
+            } else {
+                // An internal adversary acts as a *de facto* reference when
+                // most honest present stations follow its beacons: one pass
+                // counts them and each adversary's followers.
+                self.followers.fill(0);
+                let mut honest_present = 0;
+                for i in 0..n {
+                    if st.present[i] && st.honest[i] {
+                        honest_present += 1;
+                        let followed = mirror!(self.soa, st.nodes, current_reference, i);
+                        if let Some(a) = followed.and_then(adversary) {
+                            self.followers[a] += 1;
+                        }
+                    }
+                }
+                self.attacker_became_reference =
+                    self.followers.iter().any(|&f| f * 2 > honest_present);
             }
         }
 
@@ -1328,7 +1331,7 @@ impl<'h> Run<'h> {
                     "node {i}: present={} sync={} isref={} follows={:?} err_us={:.1} stats={:?}",
                     present[i],
                     nodes[i].is_synchronized(),
-                    nodes[i].is_reference(),
+                    present[i] && nodes[i].is_reference(),
                     nodes[i].current_reference(),
                     ref_clock.map_or(f64::NAN, |rc| clock_at_end(i) - rc),
                     s.map(|s| (s.retargets, s.guard_rejections, s.mutesla_rejections)),
@@ -1533,5 +1536,89 @@ mod tests {
         let mut last = LastBp(0);
         Network::build(&cfg).run_with_hook(&mut last);
         assert_eq!(last.0, 20);
+    }
+
+    /// The engine alone decides presence: an absent station never
+    /// transmits or receives, is never the view's reference, and its
+    /// snapshot never claims the role — for every protocol, under churn,
+    /// a reference departure, a crash that reboots and a reference killed
+    /// for good.
+    #[test]
+    fn absent_stations_never_act_or_hold_the_reference() {
+        /// Crashes station 3 at BP 40 for 10 BPs and kills the reference at
+        /// BP 150; checks each BP's transmitters, receivers and snapshots
+        /// against the presence flags of the BP's own view (presence only
+        /// changes in the events stage).
+        #[derive(Default)]
+        struct Audit {
+            /// This BP's transmitters and receivers.
+            acted: Vec<NodeId>,
+            /// Station-BPs spent absent.
+            absent: u64,
+        }
+        impl EngineHook for Audit {
+            fn on_bp_start(&mut self, bp: u64, actions: &mut Vec<FaultAction>) {
+                match bp {
+                    40 => actions.push(FaultAction::Crash {
+                        node: 3,
+                        rejoin_after_bps: Some(10),
+                    }),
+                    150 => actions.push(FaultAction::KillReference {
+                        rejoin_after_bps: None,
+                    }),
+                    _ => {}
+                }
+            }
+            fn on_beacon_tx(&mut self, _bp: u64, src: NodeId) {
+                self.acted.push(src);
+            }
+            fn on_delivery(&mut self, ctx: &DeliveryCtx, _: &mut BeaconPayload) -> DeliveryFate {
+                self.acted.push(ctx.dst);
+                DeliveryFate::Deliver
+            }
+            fn on_bp_end(&mut self, view: &BpView<'_>) {
+                let bp = view.bp;
+                for id in self.acted.drain(..) {
+                    assert!(
+                        view.nodes[id as usize].present,
+                        "BP {bp}: absent {id} acted"
+                    );
+                }
+                if let Some(r) = view.reference {
+                    assert!(
+                        view.nodes[r as usize].present,
+                        "BP {bp}: absent reference {r}"
+                    );
+                }
+                for s in view.nodes.iter().filter(|s| !s.present) {
+                    assert!(!s.is_reference, "BP {bp}: absent {} holds the role", s.id);
+                    self.absent += 1;
+                }
+            }
+        }
+        for kind in [
+            ProtocolKind::Tsf,
+            ProtocolKind::Atsp,
+            ProtocolKind::Tatsp,
+            ProtocolKind::Satsf,
+            ProtocolKind::Asp,
+            ProtocolKind::Rk,
+            ProtocolKind::Sstsp,
+        ] {
+            let mut cfg = ScenarioConfig::new(kind, 20, 30.0, 3);
+            cfg.churn = Some(crate::scenario::ChurnConfig {
+                period_s: 5.0,
+                fraction: 0.2,
+                absence_s: 2.0,
+            });
+            cfg.ref_leaves_s = vec![10.0];
+            let mut audit = Audit::default();
+            Network::build(&cfg).run_with_hook(&mut audit);
+            assert!(
+                audit.absent > 0,
+                "{}: no station was ever absent",
+                kind.name()
+            );
+        }
     }
 }

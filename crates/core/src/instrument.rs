@@ -152,7 +152,8 @@ pub struct NodeSnapshot {
     pub honest: bool,
     /// Protocol-reported synchronization state.
     pub synchronized: bool,
-    /// Whether the station holds the reference role.
+    /// Whether the station holds the reference role (always `false` for an
+    /// absent station).
     pub is_reference: bool,
     /// Adjusted clock at the BP-end sampling instant (µs).
     pub clock_us: f64,

@@ -17,12 +17,24 @@
 
 use sstsp::scenario::{CampaignKind, CampaignSpec, TopologySpec};
 use sstsp::{
-    AttackerSpec, InvariantChecker, Network, NoopHook, ProtocolKind, ScenarioConfig, TraceRecorder,
+    AttackerSpec, ChurnConfig, InvariantChecker, Network, NoopHook, ProtocolKind, ScenarioConfig,
+    TraceRecorder,
 };
 
 const N_NODES: u32 = 8;
 const DURATION_S: f64 = 12.0;
 const SEED: u64 = 7;
+
+/// Every protocol, in `GOLDENS` order.
+const KINDS: [ProtocolKind; 7] = [
+    ProtocolKind::Tsf,
+    ProtocolKind::Atsp,
+    ProtocolKind::Tatsp,
+    ProtocolKind::Satsf,
+    ProtocolKind::Asp,
+    ProtocolKind::Rk,
+    ProtocolKind::Sstsp,
+];
 
 /// Recorded summary per protocol: (kind, peak_spread_us, sync_latency_s,
 /// steady_error_us, tx_successes, tx_collisions, silent_windows,
@@ -72,6 +84,20 @@ const GOLDEN_ATTACKER: [(Golden, bool); 2] = [
     ((ProtocolKind::Tsf, 202.51946105249226, None, None, 104, 16, 0, 0, 0, 0, 0, None), false),
 ];
 
+/// Every protocol under churn and reference departures ([`churn_cfg`]):
+/// stations leave and return, and a returning SSTSP station runs the
+/// coarse phase again.
+#[rustfmt::skip]
+const GOLDEN_CHURN: [Golden; 7] = [
+    (ProtocolKind::Tsf, 503.1922718854621, Some(5.899999), Some(503.1922718854621), 228, 72, 0, 0, 0, 0, 0, None),
+    (ProtocolKind::Atsp, 452.71416719816625, Some(0.599999), Some(452.71416719816625), 281, 19, 0, 0, 0, 0, 0, None),
+    (ProtocolKind::Tatsp, 677.842384243384, Some(0.599999), Some(677.842384243384), 298, 2, 0, 0, 0, 0, 0, None),
+    (ProtocolKind::Satsf, 415.3910437114537, Some(1.299999), Some(415.3910437114537), 281, 12, 7, 0, 0, 0, 0, None),
+    (ProtocolKind::Asp, 609.3976872768253, Some(0.999999), Some(609.3976872768253), 232, 67, 1, 0, 0, 0, 0, None),
+    (ProtocolKind::Rk, 271.3604201711714, Some(1.999999), Some(271.3604201711714), 156, 4, 140, 0, 0, 0, 0, None),
+    (ProtocolKind::Sstsp, 264.0611473740428, Some(1.399999), Some(20.02833997574635), 293, 0, 7, 3, 0, 0, 4659, Some(6)),
+];
+
 fn run(kind: ProtocolKind) -> sstsp::RunResult {
     let cfg = ScenarioConfig::new(kind, N_NODES, DURATION_S, SEED);
     Network::build(&cfg).run()
@@ -93,6 +119,20 @@ fn ablation_cfg() -> ScenarioConfig {
         .with_m(4)
         .with_l(2);
     cfg.ref_leaves_s = vec![6.0];
+    cfg
+}
+
+/// The paper's departure shapes at 20 stations for 30 s: a fifth of the
+/// stations leave every 5 s for 2 s, and the reference, for protocols that
+/// elect one, leaves at 10 s and 20 s (for longer than the run is left).
+fn churn_cfg(kind: ProtocolKind) -> ScenarioConfig {
+    let mut cfg = ScenarioConfig::new(kind, 20, 30.0, 3);
+    cfg.churn = Some(ChurnConfig {
+        period_s: 5.0,
+        fraction: 0.2,
+        absence_s: 2.0,
+    });
+    cfg.ref_leaves_s = vec![10.0, 20.0];
     cfg
 }
 
@@ -168,13 +208,22 @@ fn fixed_seed_attacker_runs_match_recorded_goldens() {
     }
 }
 
+#[test]
+fn fixed_seed_churn_runs_match_recorded_goldens() {
+    for golden in &GOLDEN_CHURN {
+        let r = Network::build(&churn_cfg(golden.0)).run();
+        assert_golden(&r, golden, &format!("{} churn", golden.0.name()));
+    }
+}
+
 /// Hook transparency: attaching a hook — the inert [`NoopHook`], the
 /// passively recording [`TraceRecorder`], or the passively observing
 /// [`InvariantChecker`] — must leave the run bit-identical to a plain one.
 /// Every run takes the same beacon-period loop, so this covers every loop
-/// shape: the golden single-hop, multi-hop line and ablation shapes, the
-/// bridged mesh (per-domain election), a coordinated-adversary campaign
-/// (members without static intents) and the n = 1000 single-hop regime.
+/// shape: the golden single-hop, multi-hop line, ablation and churn
+/// shapes, the bridged mesh (per-domain election), a coordinated-adversary
+/// campaign (members without static intents) and the n = 1000 single-hop
+/// regime.
 /// This is what lets every experiment run invariant-checked and every run
 /// be traced while the goldens above stay valid.
 #[test]
@@ -205,6 +254,7 @@ fn hooked_runs_are_bit_identical_to_plain_runs() {
         ),
         ("multihop-line", multihop_cfg(), true),
         ("ablation-refchange", ablation_cfg(), true),
+        ("churn", churn_cfg(ProtocolKind::Sstsp), true),
         ("bridged-mesh", mesh, false),
         ("campaign", campaign, false),
         ("single-hop n=1000", large, false),
@@ -275,20 +325,19 @@ fn back_to_back_runs_are_bit_identical() {
 #[test]
 #[ignore = "generator — run with --ignored --nocapture to refresh GOLDENS"]
 fn print_goldens() {
-    for kind in [
-        ProtocolKind::Tsf,
-        ProtocolKind::Atsp,
-        ProtocolKind::Tatsp,
-        ProtocolKind::Satsf,
-        ProtocolKind::Asp,
-        ProtocolKind::Rk,
-        ProtocolKind::Sstsp,
-    ] {
+    for kind in KINDS {
         print_golden(&run(kind), &format!("{kind:?}"));
     }
     println!("multihop-line / ablation-refchange:");
     print_golden(&Network::build(&multihop_cfg()).run(), "Sstsp");
     print_golden(&Network::build(&ablation_cfg()).run(), "Sstsp");
+    println!("churn:");
+    for kind in KINDS {
+        print_golden(
+            &Network::build(&churn_cfg(kind)).run(),
+            &format!("{kind:?}"),
+        );
+    }
     println!("attacker (golden row, attacker_became_reference):");
     for kind in [ProtocolKind::Sstsp, ProtocolKind::Tsf] {
         let r = Network::build(&attacker_cfg(kind)).run();

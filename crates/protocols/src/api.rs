@@ -359,15 +359,15 @@ pub struct HotState {
     /// `intent()` call would return exactly `i` *and* would not touch the
     /// node's RNG stream.
     ///
-    /// SSTSP predicts every branch that draws nothing: absent and
-    /// coarse-phase stations, the reference's fixed slot, domain-mode
-    /// gateways and members, and election contenders whose ramped
-    /// contention probability has saturated at 1 (`Contend`; the engine
-    /// then draws the slot on the station's backoff stream, as for a real
-    /// `Contend`). It defers contenders still ramping below 1, multi-hop
-    /// relay participation outside domain mode, and domain-mode
-    /// candidacy, whose slot needs the station id. The engine counts the
-    /// two outcomes as `engine.intent.cached` and `engine.intent.called`.
+    /// SSTSP predicts every branch that draws nothing: coarse-phase
+    /// stations, the reference's fixed slot, domain-mode gateways and
+    /// members, and election contenders whose ramped contention
+    /// probability has saturated at 1 (`Contend`; the engine then draws
+    /// the slot on the station's backoff stream, as for a real `Contend`).
+    /// It defers contenders still ramping below 1, multi-hop relay
+    /// participation outside domain mode, and domain-mode candidacy, whose
+    /// slot needs the station id. The engine counts the two outcomes as
+    /// `engine.intent.cached` and `engine.intent.called`.
     pub static_intent: Option<BeaconIntent>,
 }
 
@@ -387,6 +387,11 @@ pub struct NodeCtx<'a> {
 }
 
 /// A per-node synchronization protocol state machine.
+///
+/// The engine alone tracks which stations are on the air. It never calls a
+/// protocol on an absent station: a station that leaves is simply not asked
+/// anything until it returns, when [`on_join`](Self::on_join) comes first.
+/// Protocols therefore keep no presence state of their own.
 pub trait SyncProtocol {
     /// Node initiation, called once before the first beacon period. SSTSP
     /// nodes generate their one-way hash chain here and publish its anchor
@@ -421,25 +426,23 @@ pub trait SyncProtocol {
     /// beacon was destroyed by a collision, or (`false`) it went out clean.
     /// Collision awareness models carrier-sense-based inference over the
     /// following beacon period.
-    fn on_tx_outcome(&mut self, ctx: &mut NodeCtx<'_>, collided: bool);
+    fn on_tx_outcome(&mut self, _ctx: &mut NodeCtx<'_>, _collided: bool) {}
 
     /// A beacon arrived.
     fn on_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: ReceivedBeacon);
 
     /// Called at the end of each beacon period (bookkeeping: missed-beacon
     /// counters, phase transitions).
-    fn on_bp_end(&mut self, ctx: &mut NodeCtx<'_>);
+    fn on_bp_end(&mut self, _ctx: &mut NodeCtx<'_>) {}
 
     /// The node's *synchronized* clock — the quantity the paper's figures
     /// plot — as a function of local unadjusted time.
     fn clock_us(&self, local_us: f64) -> f64;
 
-    /// The node (re)joined the network (churn return). Protocols reset
-    /// their synchronization state; the hardware clock keeps its drift.
-    fn on_join(&mut self, ctx: &mut NodeCtx<'_>);
-
-    /// The node left the network.
-    fn on_leave(&mut self, ctx: &mut NodeCtx<'_>);
+    /// The node returned to the network (churn return, reboot), before it
+    /// is asked anything else. Protocols that keep synchronization state
+    /// reset it here; the hardware clock keeps its drift.
+    fn on_join(&mut self, _ctx: &mut NodeCtx<'_>) {}
 
     /// Whether this node currently acts as the SSTSP reference.
     fn is_reference(&self) -> bool {

@@ -41,7 +41,6 @@ pub struct AspNode {
     bps_since_update: u32,
     self_corrected: bool,
     seq: u32,
-    present: bool,
 }
 
 impl Default for AspNode {
@@ -62,7 +61,6 @@ impl AspNode {
             bps_since_update: FAST_AFTER_BPS,
             self_corrected: false,
             seq: 0,
-            present: true,
         }
     }
 
@@ -85,9 +83,6 @@ impl AspNode {
 
 impl SyncProtocol for AspNode {
     fn intent(&mut self, ctx: &mut NodeCtx<'_>) -> BeaconIntent {
-        if !self.present {
-            return BeaconIntent::Silent;
-        }
         // Priority through slot placement: fast or self-corrected stations
         // draw from the front third of the window; the rest from the back
         // two thirds (and only with reduced frequency, to cut their
@@ -118,8 +113,6 @@ impl SyncProtocol for AspNode {
             hop: 0,
         })
     }
-
-    fn on_tx_outcome(&mut self, _ctx: &mut NodeCtx<'_>, _collided: bool) {}
 
     fn on_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: ReceivedBeacon) {
         let ts = rx.payload.body().timestamp_us as f64 + ctx.config.t_p_us;
@@ -163,15 +156,10 @@ impl SyncProtocol for AspNode {
     }
 
     fn on_join(&mut self, _ctx: &mut NodeCtx<'_>) {
-        self.present = true;
         self.prev_obs = None;
         self.obs_count = 0;
         self.bps_since_update = FAST_AFTER_BPS;
         self.self_corrected = false;
-    }
-
-    fn on_leave(&mut self, _ctx: &mut NodeCtx<'_>) {
-        self.present = false;
     }
 }
 

@@ -28,7 +28,6 @@ const I_MAX: u32 = 10;
 pub struct AtspNode {
     timer: TsfTimer,
     seq: u32,
-    present: bool,
     /// Current competition interval `I(i)` in BPs: 1 = every BP.
     interval: u32,
     /// BPs until the next competition.
@@ -51,7 +50,6 @@ impl AtspNode {
         AtspNode {
             timer: TsfTimer::new(),
             seq: 0,
-            present: true,
             interval: 1,
             countdown: 0,
             bps_since_update: 0,
@@ -67,9 +65,6 @@ impl AtspNode {
 
 impl SyncProtocol for AtspNode {
     fn intent(&mut self, _ctx: &mut NodeCtx<'_>) -> BeaconIntent {
-        if !self.present {
-            return BeaconIntent::Silent;
-        }
         if self.countdown == 0 {
             self.countdown = self.interval;
             BeaconIntent::Contend
@@ -88,8 +83,6 @@ impl SyncProtocol for AtspNode {
             hop: 0,
         })
     }
-
-    fn on_tx_outcome(&mut self, _ctx: &mut NodeCtx<'_>, _collided: bool) {}
 
     fn on_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: ReceivedBeacon) {
         let ts = rx.payload.body().timestamp_us as f64 + ctx.config.t_p_us;
@@ -119,14 +112,9 @@ impl SyncProtocol for AtspNode {
     }
 
     fn on_join(&mut self, _ctx: &mut NodeCtx<'_>) {
-        self.present = true;
         self.interval = 1;
         self.countdown = 0;
         self.bps_since_update = 0;
-    }
-
-    fn on_leave(&mut self, _ctx: &mut NodeCtx<'_>) {
-        self.present = false;
     }
 }
 
@@ -218,8 +206,7 @@ mod tests {
         let mut h = TestHarness::new(1);
         n.on_beacon(&mut h.ctx(0.0), beacon(1_000_000));
         n.on_bp_end(&mut h.ctx(0.0));
-        n.on_leave(&mut h.ctx(0.0));
-        assert_eq!(n.intent(&mut h.ctx(0.0)), BeaconIntent::Silent);
+        assert_eq!(n.competition_interval(), I_MAX);
         n.on_join(&mut h.ctx(0.0));
         assert_eq!(n.competition_interval(), 1);
     }

@@ -55,7 +55,6 @@ pub struct RkNode {
     /// BPs since a beacon was last received.
     bps_since_rx: u32,
     seq: u32,
-    present: bool,
     /// Number of rate updates applied (introspection).
     rate_updates: u64,
 }
@@ -75,7 +74,6 @@ impl RkNode {
             prev_obs: None,
             bps_since_rx: T_DELAY_BPS, // eligible from the start
             seq: 0,
-            present: true,
             rate_updates: 0,
         }
     }
@@ -92,9 +90,6 @@ impl RkNode {
 
 impl SyncProtocol for RkNode {
     fn intent(&mut self, ctx: &mut NodeCtx<'_>) -> BeaconIntent {
-        if !self.present {
-            return BeaconIntent::Silent;
-        }
         // Compete with probability p, only when nothing was heard for
         // T_DELAY BPs — equal participation, suppressed by any traffic.
         if self.bps_since_rx >= T_DELAY_BPS && ctx.rng.random_bool(P_COMPETE) {
@@ -114,8 +109,6 @@ impl SyncProtocol for RkNode {
             hop: 0,
         })
     }
-
-    fn on_tx_outcome(&mut self, _ctx: &mut NodeCtx<'_>, _collided: bool) {}
 
     fn on_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: ReceivedBeacon) {
         self.bps_since_rx = 0;
@@ -156,13 +149,8 @@ impl SyncProtocol for RkNode {
     }
 
     fn on_join(&mut self, _ctx: &mut NodeCtx<'_>) {
-        self.present = true;
         self.prev_obs = None;
         self.bps_since_rx = T_DELAY_BPS;
-    }
-
-    fn on_leave(&mut self, _ctx: &mut NodeCtx<'_>) {
-        self.present = false;
     }
 }
 
@@ -243,9 +231,10 @@ mod tests {
     fn leave_and_rejoin() {
         let mut n = RkNode::new();
         let mut h = TestHarness::new(1);
-        n.on_leave(&mut h.ctx(0.0));
-        assert_eq!(n.intent(&mut h.ctx(0.0)), BeaconIntent::Silent);
+        n.on_beacon(&mut h.ctx(0.0), beacon(1_000, 0.0));
+        assert!(n.prev_obs.is_some());
         n.on_join(&mut h.ctx(0.0));
         assert!(n.prev_obs.is_none(), "stale rate observations cleared");
+        assert_eq!(n.bps_since_rx, T_DELAY_BPS, "eligible to compete again");
     }
 }

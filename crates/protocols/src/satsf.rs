@@ -25,7 +25,6 @@ const FFT_MAX: u32 = 8;
 pub struct SatsfNode {
     timer: TsfTimer,
     seq: u32,
-    present: bool,
     /// Adaptive competition-frequency score in `1..=FFT_max`.
     fft: u32,
     countdown: u32,
@@ -44,7 +43,6 @@ impl SatsfNode {
         SatsfNode {
             timer: TsfTimer::new(),
             seq: 0,
-            present: true,
             fft: 1,
             countdown: 0,
             updated_this_bp: false,
@@ -63,9 +61,6 @@ impl SatsfNode {
 
 impl SyncProtocol for SatsfNode {
     fn intent(&mut self, _ctx: &mut NodeCtx<'_>) -> BeaconIntent {
-        if !self.present {
-            return BeaconIntent::Silent;
-        }
         if self.countdown == 0 {
             self.countdown = self.period();
             BeaconIntent::Contend
@@ -84,8 +79,6 @@ impl SyncProtocol for SatsfNode {
             hop: 0,
         })
     }
-
-    fn on_tx_outcome(&mut self, _ctx: &mut NodeCtx<'_>, _collided: bool) {}
 
     fn on_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: ReceivedBeacon) {
         let ts = rx.payload.body().timestamp_us as f64 + ctx.config.t_p_us;
@@ -111,13 +104,8 @@ impl SyncProtocol for SatsfNode {
     }
 
     fn on_join(&mut self, _ctx: &mut NodeCtx<'_>) {
-        self.present = true;
         self.fft = 1;
         self.countdown = 0;
-    }
-
-    fn on_leave(&mut self, _ctx: &mut NodeCtx<'_>) {
-        self.present = false;
     }
 }
 

@@ -127,7 +127,6 @@ enum IntentRule<'a> {
 pub struct SstspNode {
     adjusted: AdjustedClock,
     phase: Phase,
-    present: bool,
     /// A node joining the network does not contend until synchronized.
     synchronized: bool,
     is_reference: bool,
@@ -218,7 +217,6 @@ impl SstspNode {
         SstspNode {
             adjusted: AdjustedClock::identity(),
             phase: Phase::Fine,
-            present: true,
             synchronized: true,
             is_reference: false,
             seq: 0,
@@ -351,7 +349,7 @@ impl SstspNode {
         (role.num_domains + stations + b) * (config.beacon_airtime_slots + 1)
     }
 
-    /// This BP's [`IntentRule`]: silent while absent or scanning; the
+    /// This BP's [`IntentRule`]: silent while scanning; the
     /// reference's slot; relay participation for a synchronized relay-mode
     /// station hearing its upstream; election candidacy or contention once
     /// the election counter passes its threshold; silence otherwise.
@@ -360,7 +358,7 @@ impl SstspNode {
     /// (2-vCPU x86-64 host).
     #[inline(always)]
     fn intent_rule(&self, config: &ProtocolConfig) -> IntentRule<'_> {
-        if !self.present || matches!(self.phase, Phase::Coarse { .. }) {
+        if matches!(self.phase, Phase::Coarse { .. }) {
             return IntentRule::Fixed(BeaconIntent::Silent);
         }
         if self.is_reference {
@@ -1090,7 +1088,6 @@ impl SyncProtocol for SstspNode {
 
     fn on_join(&mut self, _ctx: &mut NodeCtx<'_>) {
         self.stash_verifier();
-        self.present = true;
         self.synchronized = false;
         self.is_reference = false;
         self.ref_src = None;
@@ -1103,11 +1100,6 @@ impl SyncProtocol for SstspNode {
             offsets: Vec::new(),
             bps_left: COARSE_SCAN_BPS,
         };
-    }
-
-    fn on_leave(&mut self, _ctx: &mut NodeCtx<'_>) {
-        self.present = false;
-        self.is_reference = false;
     }
 
     fn is_reference(&self) -> bool {

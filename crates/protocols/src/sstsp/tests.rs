@@ -426,16 +426,6 @@ fn coarse_phase_filters_attacker_offsets() {
 }
 
 #[test]
-fn leave_clears_reference_role() {
-    let mut duo = Duo::new(ProtocolConfig::paper(), 1.0, 0.0);
-    duo.elect_node0();
-    duo.with_ctx(0, bp_time(2.0), |n, ctx| n.on_leave(ctx));
-    assert!(!duo.nodes[0].is_reference());
-    let intent = duo.with_ctx(0, bp_time(2.0), |n, ctx| n.intent(ctx));
-    assert_eq!(intent, BeaconIntent::Silent);
-}
-
-#[test]
 fn adjusted_clock_never_jumps() {
     // Sample the member's clock at every BP boundary through convergence;
     // consecutive readings must be strictly increasing and close to 1 BP
@@ -630,10 +620,7 @@ mod guard_lock_props {
             let k0 = locked_at.unwrap() + 1;
 
             let t = bp_time(k0 as f64);
-            duo.with_ctx(1, t, |n, ctx| {
-                n.on_leave(ctx);
-                n.on_join(ctx);
-            });
+            duo.with_ctx(1, t, |n, ctx| n.on_join(ctx));
             prop_assert!(!duo.nodes[1].guard_locked, "rejoin must drop the lock");
             prop_assert!(!duo.nodes[1].is_synchronized());
             prop_assert!(matches!(duo.nodes[1].phase, Phase::Coarse { .. }));
@@ -704,15 +691,19 @@ mod static_intent_contract {
                 let t_rx = t0 + SimDuration::from_us_f64(duo.config.t_p_us);
                 let roll = script.random_range(0..100u32);
                 if present && roll < 2 {
-                    duo.with_ctx(1, t0, |n, ctx| n.on_leave(ctx));
                     present = false;
                 } else if !present && roll < 20 {
                     duo.with_ctx(1, t0, |n, ctx| n.on_join(ctx));
                     present = true;
                 }
-                let intent = checked_intent(&mut duo, 1, t0);
+                // Like the engine, ask only a station on the air.
+                let intent = if present {
+                    checked_intent(&mut duo, 1, t0)
+                } else {
+                    BeaconIntent::Silent
+                };
                 let mut held_window = false;
-                if present && intent != BeaconIntent::Silent {
+                if intent != BeaconIntent::Silent {
                     let collided = script.random_range(0..100u32) < collide_pct;
                     if !collided {
                         duo.with_ctx(1, t0, |n, ctx| {

@@ -23,7 +23,6 @@ const TIER1_QUIET_BPS: u32 = 20;
 pub struct TatspNode {
     timer: TsfTimer,
     seq: u32,
-    present: bool,
     /// Tier index 0..=2 (tier 1 = index 0).
     tier: usize,
     countdown: u32,
@@ -43,7 +42,6 @@ impl TatspNode {
         TatspNode {
             timer: TsfTimer::new(),
             seq: 0,
-            present: true,
             tier: 0,
             countdown: 0,
             bps_since_update: 0,
@@ -59,9 +57,6 @@ impl TatspNode {
 
 impl SyncProtocol for TatspNode {
     fn intent(&mut self, _ctx: &mut NodeCtx<'_>) -> BeaconIntent {
-        if !self.present {
-            return BeaconIntent::Silent;
-        }
         if self.countdown == 0 {
             self.countdown = TIER_PERIODS[self.tier];
             BeaconIntent::Contend
@@ -80,8 +75,6 @@ impl SyncProtocol for TatspNode {
             hop: 0,
         })
     }
-
-    fn on_tx_outcome(&mut self, _ctx: &mut NodeCtx<'_>, _collided: bool) {}
 
     fn on_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: ReceivedBeacon) {
         let ts = rx.payload.body().timestamp_us as f64 + ctx.config.t_p_us;
@@ -112,14 +105,9 @@ impl SyncProtocol for TatspNode {
     }
 
     fn on_join(&mut self, _ctx: &mut NodeCtx<'_>) {
-        self.present = true;
         self.tier = 0;
         self.countdown = 0;
         self.bps_since_update = 0;
-    }
-
-    fn on_leave(&mut self, _ctx: &mut NodeCtx<'_>) {
-        self.present = false;
     }
 }
 

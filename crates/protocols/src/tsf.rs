@@ -23,17 +23,12 @@ use mac80211::frame::BeaconBody;
 pub struct TsfNode {
     timer: TsfTimer,
     seq: u32,
-    present: bool,
 }
 
 impl TsfNode {
     /// Fresh TSF station.
     pub fn new() -> Self {
-        TsfNode {
-            timer: TsfTimer::new(),
-            seq: 0,
-            present: true,
-        }
+        Self::default()
     }
 
     /// The station's TSF timer (exposed for tests and metrics).
@@ -44,11 +39,7 @@ impl TsfNode {
 
 impl SyncProtocol for TsfNode {
     fn intent(&mut self, _ctx: &mut NodeCtx<'_>) -> BeaconIntent {
-        if self.present {
-            BeaconIntent::Contend
-        } else {
-            BeaconIntent::Silent
-        }
+        BeaconIntent::Contend
     }
 
     fn make_beacon(&mut self, ctx: &mut NodeCtx<'_>) -> BeaconPayload {
@@ -62,8 +53,6 @@ impl SyncProtocol for TsfNode {
         })
     }
 
-    fn on_tx_outcome(&mut self, _ctx: &mut NodeCtx<'_>, _collided: bool) {}
-
     fn on_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: ReceivedBeacon) {
         // §11.1.2.4: adopt the timestamp (adjusted for the receive path
         // delay) iff it is later than the local TSF timer.
@@ -71,18 +60,8 @@ impl SyncProtocol for TsfNode {
         self.timer.adopt_if_later(ts, rx.local_rx_us);
     }
 
-    fn on_bp_end(&mut self, _ctx: &mut NodeCtx<'_>) {}
-
     fn clock_us(&self, local_us: f64) -> f64 {
         self.timer.value_us(local_us)
-    }
-
-    fn on_join(&mut self, _ctx: &mut NodeCtx<'_>) {
-        self.present = true;
-    }
-
-    fn on_leave(&mut self, _ctx: &mut NodeCtx<'_>) {
-        self.present = false;
     }
 }
 
@@ -101,13 +80,12 @@ mod tests {
     }
 
     #[test]
-    fn silent_when_absent() {
-        let mut n = TsfNode::new();
+    fn default_station_contends_every_bp() {
+        let mut n = TsfNode::default();
         let mut h = TestHarness::new(1);
-        n.on_leave(&mut h.ctx(0.0));
-        assert_eq!(n.intent(&mut h.ctx(0.0)), BeaconIntent::Silent);
-        n.on_join(&mut h.ctx(0.0));
-        assert_eq!(n.intent(&mut h.ctx(0.0)), BeaconIntent::Contend);
+        for _ in 0..5 {
+            assert_eq!(n.intent(&mut h.ctx(0.0)), BeaconIntent::Contend);
+        }
     }
 
     #[test]

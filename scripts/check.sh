@@ -61,7 +61,7 @@ for threads in 1 2 8; do
     RAYON_NUM_THREADS=$threads cargo test -q --release -p sstsp --test thread_determinism
 done
 
-echo "==> record/replay round trips (single-hop and bridged, byte-identical at RAYON_NUM_THREADS=1,2,8)"
+echo "==> record/replay round trips (single-hop, bridged and departures, byte-identical at RAYON_NUM_THREADS=1,2,8)"
 SIM=target/release/sstsp-sim
 REPLAY_TMP=$(mktemp -d)
 trap 'rm -rf "$REPLAY_TMP"' EXIT
@@ -93,6 +93,12 @@ roundtrip single "n=12 dur=30 seed=7 m=4 delta=300 plan=3 burst@40..90:p=0.85"
 roundtrip camp "n=13 dur=12 seed=7 m=4 delta=300 plan=0 mesh=bridged:2:3:2 campaign=jamref:1:4:9"
 grep -q '"ev":"campaign"' "$REPLAY_TMP/camp.jsonl" || {
     echo "ERROR: campaign trace carries no campaign events" >&2
+    exit 1
+}
+# Departures: a station crashes for good, then so does the reference.
+roundtrip depart "n=12 dur=30 seed=7 m=4 delta=300 plan=0 crash@50..50:node=3,rejoin=never killref@100..100:rejoin=never"
+grep -q '"ev":"ref_change",.*"to":null' "$REPLAY_TMP/depart.jsonl" || {
+    echo "ERROR: departure trace never loses its reference" >&2
     exit 1
 }
 
