@@ -40,7 +40,7 @@ use protocols::api::{
     AnchorRegistry, BeaconIntent, BeaconPayload, MeshRole, NodeCtx, NodeId, ProtocolConfig,
     ReceivedBeacon, SyncProtocol,
 };
-use protocols::{AspNode, AtspNode, RkNode, SatsfNode, SstspNode, TatspNode, TsfNode};
+use protocols::{AspNode, Competition, RkNode, SstspNode, TsfNode};
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
 use simcore::rng::StreamDomain;
@@ -343,9 +343,9 @@ impl Network {
             } else {
                 nodes.push(match sc.protocol {
                     ProtocolKind::Tsf => Box::new(TsfNode::new()),
-                    ProtocolKind::Atsp => Box::new(AtspNode::new()),
-                    ProtocolKind::Tatsp => Box::new(TatspNode::new()),
-                    ProtocolKind::Satsf => Box::new(SatsfNode::new()),
+                    ProtocolKind::Atsp => Box::new(TsfNode::with_competition(Competition::Atsp)),
+                    ProtocolKind::Tatsp => Box::new(TsfNode::with_competition(Competition::Tatsp)),
+                    ProtocolKind::Satsf => Box::new(TsfNode::with_competition(Competition::Satsf)),
                     ProtocolKind::Asp => Box::new(AspNode::new()),
                     ProtocolKind::Rk => Box::new(RkNode::new()),
                     ProtocolKind::Sstsp => Box::new(SstspNode::founding()),
@@ -586,11 +586,20 @@ impl Stations {
             .find(|&id| self.present[id as usize] && self.nodes[id as usize].is_reference())
     }
 
-    /// Take a station off the air (no-op if it is already absent), queueing
-    /// its rejoin for BP `rejoin_at`. Its protocol is not told: nothing
-    /// calls it again until its rejoin.
+    /// Take a station off the air, queueing its rejoin for BP `rejoin_at`.
+    /// Its protocol is not told: nothing calls it again until its rejoin.
+    /// An absent station with a pending rejoin keeps the later of the two,
+    /// and `None` cancels it; one gone for good stays gone.
     fn depart(&mut self, id: NodeId, rejoin_at: Option<u64>) {
         if !self.present[id as usize] {
+            if let Some(p) = self.returns.iter().position(|&(_, r)| r == id) {
+                match rejoin_at {
+                    Some(due) => self.returns[p].0 = self.returns[p].0.max(due),
+                    None => {
+                        self.returns.remove(p);
+                    }
+                }
+            }
             return;
         }
         self.present[id as usize] = false;
@@ -1596,15 +1605,7 @@ mod tests {
                 }
             }
         }
-        for kind in [
-            ProtocolKind::Tsf,
-            ProtocolKind::Atsp,
-            ProtocolKind::Tatsp,
-            ProtocolKind::Satsf,
-            ProtocolKind::Asp,
-            ProtocolKind::Rk,
-            ProtocolKind::Sstsp,
-        ] {
+        for kind in ProtocolKind::ALL {
             let mut cfg = ScenarioConfig::new(kind, 20, 30.0, 3);
             cfg.churn = Some(crate::scenario::ChurnConfig {
                 period_s: 5.0,

@@ -5,18 +5,18 @@
 //! structs dominate the beacon period. [`NodeSoa`] is how the engine's
 //! beacon-period stages avoid that work without changing a single
 //! observable bit: a structure-of-arrays mirror of each node's
-//! [`HotState`](protocols::api::HotState) — adjusted-clock `(k, b)`
+//! [`HotState`] — adjusted-clock `(k, b)`
 //! coefficients, synchronized/reference flags, followed reference, and the
 //! statically-known beacon intent, all in dense parallel vectors. The
 //! engine refreshes a node's entry after every callback that can mutate
 //! its state, then answers the per-BP metric queries (spread sampling,
 //! reference lookup, follower counting) and the intent scan with linear
 //! passes over these vectors. A station with a static intent skips its
-//! `intent()` call; that covers the reference, silent stations and, in
-//! SSTSP, election contenders whose contention probability has saturated,
-//! which are three quarters of the intents of a 5000-station election that
-//! never resolves. The `engine.intent.cached` and `engine.intent.called`
-//! counters record the split.
+//! `intent()` call; that covers every TSF-family station and, in SSTSP,
+//! the reference, silent stations and election contenders whose contention
+//! probability has saturated, which are three quarters of the intents of a
+//! 5000-station election that never resolves. The `engine.intent.cached`
+//! and `engine.intent.called` counters record the split.
 //!
 //! The mirror is a pure cache: every value it holds must equal what the
 //! corresponding trait call would return at the instant of use. Debug

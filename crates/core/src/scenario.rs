@@ -38,6 +38,17 @@ pub enum ProtocolKind {
 }
 
 impl ProtocolKind {
+    /// Every protocol, in declaration order.
+    pub const ALL: [ProtocolKind; 7] = [
+        ProtocolKind::Tsf,
+        ProtocolKind::Atsp,
+        ProtocolKind::Tatsp,
+        ProtocolKind::Satsf,
+        ProtocolKind::Asp,
+        ProtocolKind::Rk,
+        ProtocolKind::Sstsp,
+    ];
+
     /// Whether this protocol transmits µTESLA-secured beacons.
     pub fn secured(self) -> bool {
         matches!(self, ProtocolKind::Sstsp)
@@ -54,6 +65,19 @@ impl ProtocolKind {
             ProtocolKind::Rk => "RK",
             ProtocolKind::Sstsp => "SSTSP",
         }
+    }
+}
+
+/// Parses a [`name`](ProtocolKind::name) in any case (`tsf`, `Sstsp`, …).
+impl FromStr for ProtocolKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let token = s.to_lowercase();
+        Self::ALL
+            .into_iter()
+            .find(|kind| kind.name().to_lowercase() == token)
+            .ok_or_else(|| format!("unknown protocol '{s}'"))
     }
 }
 
@@ -777,6 +801,14 @@ mod tests {
         assert!(ProtocolKind::Sstsp.secured());
         assert!(!ProtocolKind::Tsf.secured());
         assert_eq!(ProtocolKind::Atsp.name(), "ATSP");
+        for kind in ProtocolKind::ALL {
+            assert_eq!(kind.name().parse(), Ok(kind));
+            assert_eq!(kind.name().to_lowercase().parse(), Ok(kind));
+        }
+        assert_eq!(
+            "bogus".parse::<ProtocolKind>(),
+            Err("unknown protocol 'bogus'".to_string())
+        );
     }
 
     #[test]

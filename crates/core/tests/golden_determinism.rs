@@ -25,17 +25,6 @@ const N_NODES: u32 = 8;
 const DURATION_S: f64 = 12.0;
 const SEED: u64 = 7;
 
-/// Every protocol, in `GOLDENS` order.
-const KINDS: [ProtocolKind; 7] = [
-    ProtocolKind::Tsf,
-    ProtocolKind::Atsp,
-    ProtocolKind::Tatsp,
-    ProtocolKind::Satsf,
-    ProtocolKind::Asp,
-    ProtocolKind::Rk,
-    ProtocolKind::Sstsp,
-];
-
 /// Recorded summary per protocol: (kind, peak_spread_us, sync_latency_s,
 /// steady_error_us, tx_successes, tx_collisions, silent_windows,
 /// reference_changes, guard_rejections, mutesla_rejections, retargets,
@@ -325,14 +314,14 @@ fn back_to_back_runs_are_bit_identical() {
 #[test]
 #[ignore = "generator — run with --ignored --nocapture to refresh GOLDENS"]
 fn print_goldens() {
-    for kind in KINDS {
+    for kind in ProtocolKind::ALL {
         print_golden(&run(kind), &format!("{kind:?}"));
     }
     println!("multihop-line / ablation-refchange:");
     print_golden(&Network::build(&multihop_cfg()).run(), "Sstsp");
     print_golden(&Network::build(&ablation_cfg()).run(), "Sstsp");
     println!("churn:");
-    for kind in KINDS {
+    for kind in ProtocolKind::ALL {
         print_golden(
             &Network::build(&churn_cfg(kind)).run(),
             &format!("{kind:?}"),

@@ -31,10 +31,10 @@ pub struct FuzzConfig {
     /// fault. `false` keeps the original single-hop stream byte-stable.
     pub mesh: bool,
     /// Fuzz coordinated-adversary campaigns: each case also draws a
-    /// [`CampaignSpec`] (single-hop coalitions; bridged-mesh Sybil floods
-    /// and reference-slot jammers). `false` keeps the other streams
-    /// byte-stable. Takes precedence over `mesh` (campaign cases draw
-    /// their own topology dimension).
+    /// [`CampaignSpec`](sstsp::scenario::CampaignSpec) (single-hop
+    /// coalitions; bridged-mesh Sybil floods and reference-slot jammers).
+    /// `false` keeps the other streams byte-stable. Takes precedence over
+    /// `mesh` (campaign cases draw their own topology dimension).
     pub campaign: bool,
 }
 

@@ -11,12 +11,12 @@
 //! * [`harness`] — the [`sstsp::instrument::EngineHook`] that executes a
 //!   plan against a run while feeding every observation to the protocol
 //!   invariant checker ([`sstsp::invariants`]);
-//! * [`replay`] — trace-driven record/replay: re-executes the case of a
+//! * [`replay`](mod@replay) — trace-driven record/replay: re-executes the case of a
 //!   recorded JSONL trace and diffs the live model's event stream against
 //!   the recording, reporting the first divergence (BP index, event kind,
 //!   expected vs. recorded) for every topology;
-//! * [`shrink`] — greedy deterministic minimization of failing cases;
-//! * [`fuzz`] — seeded random fault plans swept across N / m / δ, with
+//! * [`shrink`](mod@shrink) — greedy deterministic minimization of failing cases;
+//! * [`fuzz`](mod@fuzz) — seeded random fault plans swept across N / m / δ, with
 //!   automatic shrinking of any violation to a minimal reproducer;
 //! * [`matrix`] — one representative plan per fault class (the
 //!   EXPERIMENTS.md fault matrix and the CI smoke run).

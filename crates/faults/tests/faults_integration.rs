@@ -93,6 +93,27 @@ fn crash_rejoin_and_reference_kill_stay_clean() {
 }
 
 #[test]
+fn second_crash_of_an_absent_station_moves_its_return() {
+    // Station 3 crashes at BP 50 to return 20 BPs later (BP 70), then is
+    // crashed again at BP 55 while still down. A permanent second crash
+    // cancels the return; a timed one keeps the later return, BP 95.
+    let first_rx_after_50 = |rejoin: &str| {
+        let c: FuzzCase = format!(
+            "n=8 dur=12 seed=7 m=4 delta=300 plan=0 crash@50..50:node=3,rejoin=20 \
+             crash@55..55:node=3,rejoin={rejoin}"
+        )
+        .parse()
+        .expect("spec parses");
+        run_case_traced(&c).events.iter().find_map(|e| match e {
+            TraceEvent::BeaconRx { bp, dst: 3, .. } if *bp > 50 => Some(*bp),
+            _ => None,
+        })
+    };
+    assert_eq!(first_rx_after_50("never"), None, "station 3 came back");
+    assert_eq!(first_rx_after_50("40"), Some(95));
+}
+
+#[test]
 fn clock_glitches_are_exempted_not_flagged() {
     let c = case(
         4,

@@ -356,10 +356,11 @@ pub struct HotState {
     /// clock reading). `None` means the engine must make the real call —
     /// either the decision needs randomness or the protocol does not
     /// predict its intents. Correctness requires: if `Some(i)`, the real
-    /// `intent()` call would return exactly `i` *and* would not touch the
-    /// node's RNG stream.
+    /// `intent()` call would return exactly `i` *and* would neither touch
+    /// the node's RNG stream nor change its state.
     ///
-    /// SSTSP predicts every branch that draws nothing: coarse-phase
+    /// A TSF-family station predicts every intent: its countdown decides
+    /// it, and `on_bp_end` advances the countdown. SSTSP predicts every branch that draws nothing: coarse-phase
     /// stations, the reference's fixed slot, domain-mode gateways and
     /// members, and election contenders whose ramped contention
     /// probability has saturated at 1 (`Contend`; the engine then draws

@@ -166,20 +166,7 @@ impl SyncProtocol for AspNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::TestHarness;
-
-    fn beacon(ts: u64, local_rx: f64) -> ReceivedBeacon {
-        ReceivedBeacon {
-            payload: BeaconPayload::Plain(BeaconBody {
-                src: 9,
-                seq: 0,
-                timestamp_us: ts,
-                root: 9,
-                hop: 0,
-            }),
-            local_rx_us: local_rx,
-        }
-    }
+    use crate::testutil::{beacon, TestHarness};
 
     #[test]
     fn fast_station_takes_front_slots() {

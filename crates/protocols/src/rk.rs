@@ -157,20 +157,7 @@ impl SyncProtocol for RkNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::TestHarness;
-
-    fn beacon(ts: u64, local_rx: f64) -> ReceivedBeacon {
-        ReceivedBeacon {
-            payload: BeaconPayload::Plain(BeaconBody {
-                src: 9,
-                seq: 0,
-                timestamp_us: ts,
-                root: 9,
-                hop: 0,
-            }),
-            local_rx_us: local_rx,
-        }
-    }
+    use crate::testutil::{beacon, TestHarness};
 
     #[test]
     fn eligible_from_start_and_suppressed_by_traffic() {

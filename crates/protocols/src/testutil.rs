@@ -1,6 +1,7 @@
 //! Shared test fixtures for protocol unit tests (compiled only for tests).
 
-use crate::api::{AnchorRegistry, NodeCtx, NodeId, ProtocolConfig};
+use crate::api::{AnchorRegistry, BeaconPayload, NodeCtx, NodeId, ProtocolConfig, ReceivedBeacon};
+use mac80211::frame::BeaconBody;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
@@ -23,17 +24,6 @@ impl TestHarness {
         }
     }
 
-    /// Kept as fixture API even while no current test overrides the config.
-    #[allow(dead_code)]
-    pub fn with_config(id: NodeId, config: ProtocolConfig) -> Self {
-        TestHarness {
-            id,
-            rng: ChaCha12Rng::seed_from_u64(1000 + id as u64),
-            anchors: AnchorRegistry::new(),
-            config,
-        }
-    }
-
     /// Build a context at the given local time.
     pub fn ctx(&mut self, local_us: f64) -> NodeCtx<'_> {
         NodeCtx {
@@ -43,5 +33,20 @@ impl TestHarness {
             anchors: &mut self.anchors,
             config: &self.config,
         }
+    }
+}
+
+/// A plain beacon from station 9 stamped `ts`, received at local time
+/// `local_rx_us`.
+pub fn beacon(ts: u64, local_rx_us: f64) -> ReceivedBeacon {
+    ReceivedBeacon {
+        payload: BeaconPayload::Plain(BeaconBody {
+            src: 9,
+            seq: 0,
+            timestamp_us: ts,
+            root: 9,
+            hop: 0,
+        }),
+        local_rx_us,
     }
 }

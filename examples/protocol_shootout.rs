@@ -1,6 +1,7 @@
-//! Protocol shootout: TSF, ATSP, TATSP, SATSF and SSTSP across network
-//! sizes — the scalability comparison the paper's related-work section
-//! frames (Sec. 2), run as one rayon-parallel sweep.
+//! Protocol shootout: all seven protocols (TSF, ATSP, TATSP, SATSF, ASP, RK
+//! and SSTSP) across network sizes — the scalability comparison the
+//! paper's related-work section frames (Sec. 2), run as one rayon-parallel
+//! sweep.
 //!
 //! ```text
 //! cargo run --release --example protocol_shootout            # up to 500 stations
@@ -19,15 +20,7 @@ fn main() {
         &[50, 100, 200, 500]
     };
     let duration_s = if quick { 60.0 } else { 120.0 };
-    let protocols = [
-        ProtocolKind::Tsf,
-        ProtocolKind::Atsp,
-        ProtocolKind::Tatsp,
-        ProtocolKind::Satsf,
-        ProtocolKind::Asp,
-        ProtocolKind::Rk,
-        ProtocolKind::Sstsp,
-    ];
+    let protocols = ProtocolKind::ALL;
 
     println!(
         "Scalability shootout: {} protocols × {:?} stations, {duration_s} s each\n",

@@ -150,8 +150,9 @@ echo "==> CLI argument validation rejects malformed input (exit 2, never a panic
 # to parse and then panic, hang or abort the topology generators. The last
 # cases start a reference departure, jam, attack or campaign after the
 # default 60 s run's last BP, or place a window between two BP starts
-# (59.9 s and 60 s), where it used to be dropped silently, and give the
-# attacker a negative error, which used to panic. Each case runs under
+# (59.9 s and 60 s), where it used to be dropped silently, give the
+# attacker a negative error, which used to panic, and name a protocol that
+# does not exist. Each case runs under
 # `timeout 60` (exit 124), so an input that hangs the simulator fails the
 # gate instead of blocking it.
 expect_usage_error() {
@@ -180,7 +181,7 @@ for bad in "--jam 50,20" "--jam 20,20" "--attack 600,400,30" "--churn 0,0.5,10" 
     "--ref-leaves nan" "--ref-leaves -5" "--ref-leaves 100" \
     "--jam 100,200" "--attack 100,200,30" "--campaign jamref:1:100:200" \
     "--jam 59.95,60" "--attack 59.95,60,30" "--campaign jamref:1:59.95:60" \
-    "--attack 1,3,-5"; do
+    "--attack 1,3,-5" "--protocol bogus"; do
     # shellcheck disable=SC2086
     expect_usage_error $bad --nodes 8
 done
@@ -260,6 +261,10 @@ cargo test --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> performance gate (working tree vs HEAD: paired perfbench runs, telemetry overhead)"
 scripts/perf_gate.sh
+
+echo "==> cargo doc --no-deps with rustdoc warnings denied (broken or ambiguous doc links)"
+# Default members only: the vendored stand-ins are not first-party docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -277,18 +277,7 @@ fn main() {
                 .clone()
         };
         match flag.as_str() {
-            "--protocol" => {
-                cfg.protocol = match val().to_lowercase().as_str() {
-                    "tsf" => ProtocolKind::Tsf,
-                    "atsp" => ProtocolKind::Atsp,
-                    "tatsp" => ProtocolKind::Tatsp,
-                    "satsf" => ProtocolKind::Satsf,
-                    "asp" => ProtocolKind::Asp,
-                    "rk" => ProtocolKind::Rk,
-                    "sstsp" => ProtocolKind::Sstsp,
-                    other => usage(&format!("unknown protocol '{other}'")),
-                }
-            }
+            "--protocol" => cfg.protocol = val().parse().unwrap_or_else(|e: String| usage(&e)),
             "--nodes" => cfg.n_nodes = val().parse().unwrap_or_else(|_| usage("bad --nodes")),
             "--duration" => {
                 cfg = cfg.with_duration(val().parse().unwrap_or_else(|_| usage("bad --duration")))

@@ -8,6 +8,7 @@
 //! crash/kill-reference events: a rebooted station resets its diagnostic
 //! counters, which would legitimately break per-station reconciliation.
 
+use sstsp::{Network, ProtocolKind, ScenarioConfig};
 use sstsp_faults::plan::FuzzCase;
 use sstsp_faults::run_case_traced;
 use sstsp_telemetry::{recording, snapshot, trace, RxOutcome, TraceEvent};
@@ -127,4 +128,28 @@ fn counters_trace_and_run_result_reconcile() {
     // the spec round-trips for replay.
     assert!(outcome.violations.is_empty(), "{:?}", outcome.violations);
     assert_eq!(case.to_string().parse::<FuzzCase>().unwrap(), case);
+}
+
+/// A TSF-family station predicts every intent (the countdown decides it),
+/// so without churn the engine serves every station's intent in every BP
+/// from its dense mirror and never makes the `intent()` call.
+#[test]
+fn tsf_family_intents_are_all_served_from_the_mirror() {
+    for kind in [
+        ProtocolKind::Tsf,
+        ProtocolKind::Atsp,
+        ProtocolKind::Tatsp,
+        ProtocolKind::Satsf,
+    ] {
+        let cfg = ScenarioConfig::new(kind, 20, 30.0, 3);
+        let _guard = recording();
+        Network::build(&cfg).run();
+        let snap = snapshot();
+        assert_eq!(snap.counter("engine.intent.called"), 0, "{kind:?}");
+        assert_eq!(
+            snap.counter("engine.intent.cached"),
+            u64::from(cfg.n_nodes) * cfg.total_bps(),
+            "{kind:?}"
+        );
+    }
 }
