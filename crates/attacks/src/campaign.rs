@@ -43,7 +43,7 @@ use std::str::FromStr;
 
 use mac80211::frame::BeaconBody;
 use protocols::api::{
-    BeaconIntent, BeaconPayload, MeshRole, NodeCtx, NodeId, ReceivedBeacon, SyncProtocol,
+    BeaconIntent, BeaconPayload, MeshRole, NodeCtx, NodeId, ReceivedBeacon, RxVerdict, SyncProtocol,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -562,16 +562,17 @@ impl<P: SyncProtocol> SyncProtocol for CampaignMember<P> {
         }
     }
 
-    fn on_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: ReceivedBeacon) {
+    fn on_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: ReceivedBeacon) -> RxVerdict {
         // The inner protocol stays synchronized (that is what makes forged
         // timestamps guard-passing and reference tracking current).
-        self.inner.on_beacon(ctx, rx);
+        let verdict = self.inner.on_beacon(ctx, rx);
         if matches!(self.role(), CampaignRole::Amplifier) {
             if self.tape.len() == AMPLIFIER_TAPE {
                 self.tape.pop_back();
             }
             self.tape.push_back((0, rx.payload));
         }
+        verdict
     }
 
     fn on_bp_end(&mut self, ctx: &mut NodeCtx<'_>) {

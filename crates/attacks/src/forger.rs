@@ -8,7 +8,9 @@
 //! MAC of the buffered beacon fails once a genuine key discloses.
 
 use mac80211::frame::BeaconBody;
-use protocols::api::{BeaconIntent, BeaconPayload, NodeCtx, NodeId, ReceivedBeacon, SyncProtocol};
+use protocols::api::{
+    BeaconIntent, BeaconPayload, NodeCtx, NodeId, ReceivedBeacon, RxVerdict, SyncProtocol,
+};
 use rand::Rng;
 use sstsp_crypto::BeaconAuth;
 
@@ -84,7 +86,9 @@ impl SyncProtocol for ExternalForger {
         )
     }
 
-    fn on_beacon(&mut self, _ctx: &mut NodeCtx<'_>, _rx: ReceivedBeacon) {}
+    fn on_beacon(&mut self, _ctx: &mut NodeCtx<'_>, _rx: ReceivedBeacon) -> RxVerdict {
+        RxVerdict::Ignored
+    }
 
     fn clock_us(&self, local_us: f64) -> f64 {
         local_us
@@ -150,13 +154,14 @@ mod tests {
 
         let mut victim = SstspNode::founding();
         let mut ctx = env.ctx(1, 100_000.0);
-        victim.on_beacon(
+        let verdict = victim.on_beacon(
             &mut ctx,
             ReceivedBeacon {
                 payload: forged,
                 local_rx_us: 100_000.0,
             },
         );
+        assert_eq!(verdict, RxVerdict::UnknownAnchor);
         assert_eq!(victim.stats.unknown_anchor, 1);
         assert_eq!(victim.reference(), None);
     }
@@ -175,7 +180,7 @@ mod tests {
 
         let mut victim = SstspNode::founding();
         let mut ctx = env.ctx(1, 100_000.0);
-        victim.on_beacon(
+        let verdict = victim.on_beacon(
             &mut ctx,
             ReceivedBeacon {
                 payload: forged,
@@ -183,6 +188,7 @@ mod tests {
             },
         );
         // The random disclosed key cannot hash to node 3's anchor.
+        assert_eq!(verdict, RxVerdict::MuteslaReject);
         assert_eq!(victim.stats.guard_rejections, 0);
         assert_eq!(victim.stats.mutesla_rejections, 1);
     }

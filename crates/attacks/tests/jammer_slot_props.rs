@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
 use protocols::api::{
     AnchorRegistry, BeaconIntent, BeaconPayload, MeshRole, NodeCtx, NodeId, ProtocolConfig,
-    SyncProtocol,
+    ReceivedBeacon, RxVerdict, SyncProtocol,
 };
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -37,7 +37,9 @@ impl SyncProtocol for StubTracker {
             hop: 0,
         })
     }
-    fn on_beacon(&mut self, _ctx: &mut NodeCtx<'_>, _rx: protocols::api::ReceivedBeacon) {}
+    fn on_beacon(&mut self, _ctx: &mut NodeCtx<'_>, _rx: ReceivedBeacon) -> RxVerdict {
+        RxVerdict::Ignored
+    }
     fn clock_us(&self, local_us: f64) -> f64 {
         local_us
     }

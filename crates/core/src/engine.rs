@@ -40,6 +40,8 @@ use protocols::api::{
     AnchorRegistry, BeaconIntent, BeaconPayload, MeshRole, NodeCtx, NodeId, ProtocolConfig,
     ReceivedBeacon, SyncProtocol,
 };
+#[cfg(debug_assertions)]
+use protocols::{api::RxVerdict, sstsp::SstspStats};
 use protocols::{AspNode, Competition, RkNode, SstspNode, TsfNode};
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
@@ -270,6 +272,51 @@ macro_rules! mirror {
         );
         v
     }};
+}
+
+/// Debug builds' audit of station `id`'s verdict `v` on one delivery
+/// against its SSTSP counters read `before` and `after` it, on every run:
+/// each rejection verdict moves exactly its own counter, an accept moves
+/// `accepted` (and `retargets` and `clock_steps` exactly when it says so)
+/// and reports the guard lock the counters held before, and a delivery
+/// that moved none of them, or a station without counters, is
+/// [`RxVerdict::Ignored`].
+#[cfg(debug_assertions)]
+fn audit_verdict(id: NodeId, v: RxVerdict, before: Option<SstspStats>, after: Option<SstspStats>) {
+    let (Some(b), Some(a)) = (before, after) else {
+        assert_eq!(v, RxVerdict::Ignored, "node {id} has no SSTSP counters");
+        return;
+    };
+    let moved = |f: fn(&SstspStats) -> u64| f(&a) != f(&b);
+    let (accept, retarget, clock_step, guard_locked) = match v {
+        RxVerdict::Accept {
+            retarget,
+            clock_step,
+            guard_locked,
+        } => (true, retarget, clock_step, guard_locked),
+        _ => (false, false, false, b.guard_locked),
+    };
+    assert_eq!(
+        [
+            moved(|s| s.guard_rejections),
+            moved(|s| s.mutesla_rejections),
+            moved(|s| s.unknown_anchor),
+            moved(|s| s.accepted),
+            moved(|s| s.retargets),
+            moved(|s| s.clock_steps),
+            b.guard_locked,
+        ],
+        [
+            v == RxVerdict::GuardReject,
+            v == RxVerdict::MuteslaReject,
+            v == RxVerdict::UnknownAnchor,
+            accept,
+            retarget,
+            clock_step,
+            guard_locked,
+        ],
+        "node {id}: verdict {v:?} disagrees with its counters {b:?} -> {a:?}"
+    );
 }
 
 impl Network {
@@ -1126,30 +1173,28 @@ impl<'h> Run<'h> {
             let (rx, mut ctx) = self.st.at(d.rx, local_rx);
             // Hooks observe the *virtual* clock: the SoA entry is refreshed
             // only at BP end and can be stale mid-window.
-            let before = self.active.then(|| {
-                (
-                    rx.clock_us(local_rx),
-                    rx.current_reference(),
-                    rx.sstsp_stats(),
-                )
-            });
-            rx.on_beacon(
+            let before = self
+                .active
+                .then(|| (rx.clock_us(local_rx), rx.current_reference()));
+            #[cfg(debug_assertions)]
+            let stats_before = rx.sstsp_stats();
+            let verdict = rx.on_beacon(
                 &mut ctx,
                 ReceivedBeacon {
                     payload,
                     local_rx_us: local_rx,
                 },
             );
-            if let Some((clock_before_us, ref_before, stats_before)) = before {
-                let stats_after = rx.sstsp_stats();
+            #[cfg(debug_assertions)]
+            audit_verdict(d.rx, verdict, stats_before, rx.sstsp_stats());
+            if let Some((clock_before_us, ref_before)) = before {
                 self.hook.post_delivery(&DeliveryObs {
                     ctx: dctx,
                     payload: &payload,
                     local_rx_us: local_rx,
                     clock_before_us,
                     ref_before,
-                    stats_before,
-                    stats_after,
+                    verdict,
                     anchors: &self.st.anchors,
                 });
             }
@@ -1243,17 +1288,27 @@ impl<'h> Run<'h> {
         }
 
         if self.active {
+            // Every station's state, absent ones included, is in the mirror:
+            // an absent station is never called, so its last refresh holds.
             self.snapshots.clear();
             for i in 0..n {
-                let node = &st.nodes[i];
+                let local = st.oscs[i].local_us(bp.t_end);
+                let clock_us = self
+                    .soa
+                    .clock_us(i, local)
+                    .unwrap_or_else(|| st.nodes[i].clock_us(local));
+                debug_assert_eq!(
+                    clock_us.to_bits(),
+                    st.nodes[i].clock_us(local).to_bits(),
+                    "SoA affine clock diverged for node {i}"
+                );
                 self.snapshots.push(NodeSnapshot {
                     id: i as NodeId,
                     present: st.present[i],
                     honest: st.honest[i],
-                    synchronized: node.is_synchronized(),
-                    is_reference: st.present[i] && node.is_reference(),
-                    clock_us: node.clock_us(st.oscs[i].local_us(bp.t_end)),
-                    stats: node.sstsp_stats(),
+                    synchronized: mirror!(self.soa, st.nodes, is_synchronized, i),
+                    is_reference: st.present[i] && mirror!(self.soa, st.nodes, is_reference, i),
+                    clock_us,
                 });
             }
             self.hook.on_bp_end(&BpView {

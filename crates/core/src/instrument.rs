@@ -3,18 +3,17 @@
 //!
 //! The engine itself stays policy-free: it exposes *where* faults can act
 //! (BP starts, individual beacon deliveries) and *what* can be observed
-//! (transmissions, per-delivery protocol state deltas, per-BP node
+//! (transmissions, each receiver's verdict on each delivery, per-BP node
 //! snapshots), while the `faults` crate supplies the schedules and the
 //! [`crate::invariants`] module the checks. Each callback comes from one of
 //! the engine's per-BP stages (see [`EngineHook`]). A [`NoopHook`] run is
 //! bit-identical to an uninstrumented one: hooks receive copies and
-//! deltas, never mutable engine internals, and every fault-layer random
+//! verdicts, never mutable engine internals, and every fault-layer random
 //! decision comes from the hook's own RNG stream — the engine's streams
 //! are never touched.
 
 use crate::scenario::ScenarioConfig;
-use protocols::api::{AnchorRegistry, BeaconPayload, NodeId};
-use protocols::sstsp::SstspStats;
+use protocols::api::{AnchorRegistry, BeaconPayload, NodeId, RxVerdict};
 use simcore::SimTime;
 
 /// A state change the engine applies on behalf of a fault plan at the start
@@ -105,8 +104,10 @@ pub struct DeliveryCtx {
 
 /// Everything observable about one completed beacon delivery: the payload
 /// as received (after any hook mutation), the receiver's state immediately
-/// before the protocol processed it, and its diagnostic counters before and
-/// after — the deltas reveal whether the beacon was accepted.
+/// before the protocol processed it, and the verdict the receiver returned
+/// from [`SyncProtocol::on_beacon`](protocols::api::SyncProtocol::on_beacon).
+/// The engine copies no protocol counters for it; debug builds audit each
+/// verdict against the receiver's SSTSP counters instead.
 pub struct DeliveryObs<'a> {
     /// Delivery identification (same values the pre-hook saw).
     pub ctx: DeliveryCtx,
@@ -119,29 +120,18 @@ pub struct DeliveryObs<'a> {
     pub clock_before_us: f64,
     /// Receiver's upstream reference before processing.
     pub ref_before: Option<NodeId>,
-    /// SSTSP diagnostic counters before processing (`None` for protocols
-    /// without them).
-    pub stats_before: Option<SstspStats>,
-    /// The same counters after processing.
-    pub stats_after: Option<SstspStats>,
+    /// What the receiver did with the beacon ([`RxVerdict::Ignored`] for
+    /// protocols without security checks).
+    pub verdict: RxVerdict,
     /// The published µTESLA anchor registry (first-write-wins, so entries
     /// are exactly what honest verifiers saw).
     pub anchors: &'a AnchorRegistry,
 }
 
-impl DeliveryObs<'_> {
-    /// Whether the receiver admitted the beacon (passed every protocol
-    /// check). Only meaningful for protocols exposing stats; others return
-    /// `false`.
-    pub fn accepted(&self) -> bool {
-        match (self.stats_before, self.stats_after) {
-            (Some(b), Some(a)) => a.accepted > b.accepted,
-            _ => false,
-        }
-    }
-}
-
-/// Per-station snapshot taken at the end of each beacon period.
+/// Per-station snapshot taken at the end of each beacon period. It carries
+/// no protocol counters: a hook that needs to know of a sanctioned clock
+/// step learns it from the delivery verdicts (see
+/// [`crate::invariants`]).
 #[derive(Debug, Clone, Copy)]
 pub struct NodeSnapshot {
     /// Station id.
@@ -157,8 +147,6 @@ pub struct NodeSnapshot {
     pub is_reference: bool,
     /// Adjusted clock at the BP-end sampling instant (µs).
     pub clock_us: f64,
-    /// SSTSP diagnostic counters (`None` for other protocols).
-    pub stats: Option<SstspStats>,
 }
 
 /// End-of-BP view handed to hooks after metrics sampling.
@@ -185,6 +173,12 @@ pub struct BpView<'a> {
 /// `on_bp_start` (events: collect fault actions) → `on_beacon_tx` per
 /// transmission and `on_delivery`/`post_delivery` per beacon delivery
 /// (window + delivery) → `on_bp_end` (tail, after metrics).
+///
+/// An active hook costs the run what it receives: per delivery the
+/// receiver's clock and reference before processing plus its verdict, and
+/// per BP one [`NodeSnapshot`] per station, assembled from the engine's
+/// dense node mirror. A hook that overrides nothing but stays active pays
+/// that assembly without using it.
 pub trait EngineHook {
     /// Whether the hook wants the per-event callbacks. When `false` the
     /// engine calls only `on_run_start` and `on_run_end`, keeping the

@@ -17,11 +17,24 @@
 //! demonstrably settled and suspend across sanctioned disturbances (churn,
 //! reference departures, jamming, fault injections), so nominal paper
 //! trajectories run violation-free while genuine regressions still trip.
+//!
+//! What a receiver did with each beacon comes from the [`RxVerdict`] it
+//! returned, which the engine hands over in [`DeliveryObs`]: the checker
+//! re-derives key freshness and the guard bound for every accept. The
+//! verdict is also where the monotonicity check learns of the protocol's
+//! own sanctioned clock steps: an accept with `clock_step` (a domain
+//! takeover) excuses its receiver's next BP-end sample, and only that one.
+//! The other protocol step, coarse-phase completion, happens in
+//! `on_bp_end` with no delivery to report it, and needs no excuse: a
+//! station scans in the coarse phase unsynchronized, so the sample before
+//! its step is unsynchronized and the comparison does not run. Injected
+//! clock faults are excused by the fault layer
+//! ([`InvariantChecker::exempt_clock`]).
 
 use crate::engine::RunResult;
 use crate::instrument::{BpView, DeliveryObs, EngineHook};
 use crate::scenario::{ProtocolKind, ScenarioConfig};
-use protocols::api::{AnchorRegistry, BeaconPayload, NodeId};
+use protocols::api::{AnchorRegistry, BeaconPayload, NodeId, RxVerdict};
 use sstsp_crypto::chain::chain_step_n;
 use sstsp_crypto::{ChainElement, IntervalSchedule};
 
@@ -81,7 +94,6 @@ const SETTLE_BPS: u64 = 200;
 struct PrevSample {
     clock_us: f64,
     synchronized: bool,
-    clock_steps: u64,
 }
 
 /// The invariant checker; attach with
@@ -101,6 +113,9 @@ pub struct InvariantChecker {
     violations: Vec<Violation>,
     /// Per-station previous BP-end sample.
     prev: Vec<Option<PrevSample>>,
+    /// Per-station: an accepted delivery since the previous BP-end sample
+    /// stepped the clock (a protocol-sanctioned discontinuity).
+    stepped: Vec<bool>,
     /// Per-station BP until which clock discontinuities are excused
     /// (fault-layer injections register themselves here).
     clock_exempt_until: Vec<u64>,
@@ -140,6 +155,7 @@ impl InvariantChecker {
             t_p_us: pc.t_p_us,
             violations: Vec::new(),
             prev: vec![None; n],
+            stepped: vec![false; n],
             clock_exempt_until: vec![0; n],
             validated: vec![None; n],
             last_key_ok: None,
@@ -229,14 +245,20 @@ impl InvariantChecker {
 
 impl EngineHook for InvariantChecker {
     fn post_delivery(&mut self, obs: &DeliveryObs<'_>) {
-        if !obs.accepted() {
-            return;
-        }
-        let BeaconPayload::Secured(body, auth) = obs.payload else {
+        let RxVerdict::Accept {
+            clock_step,
+            guard_locked,
+            ..
+        } = obs.verdict
+        else {
             return;
         };
         let bp = obs.ctx.bp;
         let dst = obs.ctx.dst;
+        self.stepped[dst as usize] |= clock_step;
+        let BeaconPayload::Secured(body, auth) = obs.payload else {
+            return;
+        };
 
         // Never-accept-after-disclosure: the claimed interval must be the
         // receiver's current interval, recomputed from the receiver's clock
@@ -272,27 +294,21 @@ impl EngineHook for InvariantChecker {
         // Guard influence bound: once locked onto its reference, a station
         // accepting a routine beacon *from that reference* must have seen a
         // timestamp within δ_fine of its own clock. Domain takeovers are
-        // sanctioned steps (the clock_steps counter moves) and exempt.
-        if self.check_guard {
-            if let (Some(before), Some(after)) = (obs.stats_before, obs.stats_after) {
-                let routine = before.guard_locked
-                    && obs.ref_before == Some(body.src)
-                    && after.clock_steps == before.clock_steps;
-                if routine {
-                    let ts_ref = body.timestamp_us as f64 + self.t_p_us;
-                    let diff = (ts_ref - obs.clock_before_us).abs();
-                    if diff > self.guard_fine_us + 1e-6 {
-                        self.push(
-                            InvariantKind::GuardInfluenceBound,
-                            bp,
-                            Some(dst),
-                            format!(
-                                "locked station accepted |ts_ref − c| = {diff:.3} µs > δ = {} µs",
-                                self.guard_fine_us
-                            ),
-                        );
-                    }
-                }
+        // sanctioned steps (the verdict reports the step) and exempt.
+        let routine = guard_locked && obs.ref_before == Some(body.src) && !clock_step;
+        if self.check_guard && routine {
+            let ts_ref = body.timestamp_us as f64 + self.t_p_us;
+            let diff = (ts_ref - obs.clock_before_us).abs();
+            if diff > self.guard_fine_us + 1e-6 {
+                self.push(
+                    InvariantKind::GuardInfluenceBound,
+                    bp,
+                    Some(dst),
+                    format!(
+                        "locked station accepted |ts_ref − c| = {diff:.3} µs > δ = {} µs",
+                        self.guard_fine_us
+                    ),
+                );
             }
         }
     }
@@ -301,16 +317,13 @@ impl EngineHook for InvariantChecker {
         // Adjusted-clock monotonicity for honest synchronized stations.
         for snap in view.nodes {
             let i = snap.id as usize;
+            let stepped = std::mem::take(&mut self.stepped[i]);
             if !snap.honest {
                 continue;
             }
             let prev = self.prev[i];
             if snap.present {
                 if let Some(p) = prev {
-                    let stepped = match snap.stats {
-                        Some(s) => s.clock_steps != p.clock_steps,
-                        None => false,
-                    };
                     let exempt = self.clock_exempt_until[i] >= view.bp || stepped;
                     if p.synchronized
                         && snap.synchronized
@@ -331,7 +344,6 @@ impl EngineHook for InvariantChecker {
                 self.prev[i] = Some(PrevSample {
                     clock_us: snap.clock_us,
                     synchronized: snap.synchronized,
-                    clock_steps: snap.stats.map_or(0, |s| s.clock_steps),
                 });
             } else {
                 // Absent stations restart the comparison on return.
@@ -402,4 +414,193 @@ pub fn run_checked(scenario: &ScenarioConfig) -> RunResult {
             .join("\n")
     );
     result
+}
+
+#[cfg(test)]
+mod tests {
+    //! The verdict-fed rules on synthetic observations. End to end a
+    //! BP-end sample advances a whole BP (100 000 µs), so only a backward
+    //! step of more than one BP is visible to the monotonicity check, and
+    //! no fixed-seed run isolates the sanctioned-step exemption; these
+    //! tests drive the checker directly.
+    use super::*;
+    use crate::instrument::{DeliveryCtx, NodeSnapshot};
+    use mac80211::frame::BeaconBody;
+    use simcore::SimTime;
+    use sstsp_crypto::BeaconAuth;
+
+    const BP_US: f64 = 100_000.0;
+    /// A backward step larger than one BP.
+    const STEP_US: f64 = -150_000.0;
+
+    /// A checker for single-hop SSTSP on three stations: every rule on.
+    fn checker() -> (InvariantChecker, ScenarioConfig) {
+        let cfg = ScenarioConfig::new(ProtocolKind::Sstsp, 3, 10.0, 1);
+        (InvariantChecker::for_scenario(&cfg), cfg)
+    }
+
+    /// BP `bp`'s end: every station present, honest and synchronized, its
+    /// clock one BP per BP plus its entry of `offsets`.
+    fn bp_end(c: &mut InvariantChecker, bp: u64, offsets: [f64; 3]) {
+        let nodes: Vec<NodeSnapshot> = (0..3)
+            .map(|i| NodeSnapshot {
+                id: i,
+                present: true,
+                honest: true,
+                synchronized: true,
+                is_reference: i == 0,
+                clock_us: bp as f64 * BP_US + offsets[i as usize],
+            })
+            .collect();
+        c.on_bp_end(&BpView {
+            bp,
+            t_end: SimTime::from_us(bp * BP_US as u64),
+            nodes: &nodes,
+            reference: Some(0),
+            disturbed: false,
+        });
+    }
+
+    /// Station 0's beacon of BP `bp` stamped `ts_us`, delivered to `dst`
+    /// at adjusted clock `clock_us`, with `verdict`.
+    fn deliver(
+        c: &mut InvariantChecker,
+        bp: u64,
+        dst: NodeId,
+        ts_us: u64,
+        clock_us: f64,
+        verdict: RxVerdict,
+    ) {
+        let payload = BeaconPayload::Secured(
+            BeaconBody {
+                src: 0,
+                seq: bp as u32,
+                timestamp_us: ts_us,
+                root: 0,
+                hop: 0,
+            },
+            BeaconAuth {
+                interval: bp as u32,
+                mac: [0; 16],
+                disclosed: [0; 16],
+            },
+        );
+        c.post_delivery(&DeliveryObs {
+            ctx: DeliveryCtx {
+                bp,
+                src: 0,
+                dst,
+                t_rx: SimTime::from_us(bp * BP_US as u64),
+            },
+            payload: &payload,
+            local_rx_us: clock_us,
+            clock_before_us: clock_us,
+            ref_before: Some(0),
+            verdict,
+            anchors: &AnchorRegistry::new(),
+        });
+    }
+
+    fn accept(clock_step: bool, guard_locked: bool) -> RxVerdict {
+        RxVerdict::Accept {
+            retarget: false,
+            clock_step,
+            guard_locked,
+        }
+    }
+
+    /// The checker's violations as (kind, BP, station), key freshness left
+    /// out: the synthetic beacons carry no valid µTESLA fields.
+    fn flagged(c: &InvariantChecker) -> Vec<(InvariantKind, u64, Option<NodeId>)> {
+        c.violations()
+            .iter()
+            .filter(|v| v.kind != InvariantKind::KeyFreshness)
+            .map(|v| (v.kind, v.bp, v.node))
+            .collect()
+    }
+
+    #[test]
+    fn a_backward_jump_past_one_bp_is_flagged() {
+        let (mut c, _) = checker();
+        bp_end(&mut c, 1, [0.0; 3]);
+        bp_end(&mut c, 2, [0.0, STEP_US, 0.0]);
+        assert_eq!(
+            flagged(&c),
+            [(InvariantKind::ClockMonotonicity, 2, Some(1))]
+        );
+    }
+
+    #[test]
+    fn a_reported_clock_step_excuses_only_its_station_and_bp() {
+        // Excused: station 1 reported the step in the BP of the jump.
+        let (mut c, _) = checker();
+        bp_end(&mut c, 1, [0.0; 3]);
+        deliver(&mut c, 2, 1, 0, 0.0, accept(true, true));
+        bp_end(&mut c, 2, [0.0, STEP_US, 0.0]);
+        assert_eq!(flagged(&c), []);
+
+        // Not excused: the step was another station's.
+        let (mut c, _) = checker();
+        bp_end(&mut c, 1, [0.0; 3]);
+        deliver(&mut c, 2, 2, 0, 0.0, accept(true, true));
+        bp_end(&mut c, 2, [0.0, STEP_US, 0.0]);
+        assert_eq!(
+            flagged(&c),
+            [(InvariantKind::ClockMonotonicity, 2, Some(1))]
+        );
+
+        // Not excused: the step came a BP before the jump.
+        let (mut c, _) = checker();
+        bp_end(&mut c, 1, [0.0; 3]);
+        deliver(&mut c, 2, 1, 0, 0.0, accept(true, true));
+        bp_end(&mut c, 2, [0.0; 3]);
+        bp_end(&mut c, 3, [0.0, STEP_US, 0.0]);
+        assert_eq!(
+            flagged(&c),
+            [(InvariantKind::ClockMonotonicity, 3, Some(1))]
+        );
+
+        // Not excused: an accept without a step.
+        let (mut c, _) = checker();
+        bp_end(&mut c, 1, [0.0; 3]);
+        deliver(&mut c, 2, 1, 0, 0.0, accept(false, true));
+        bp_end(&mut c, 2, [0.0, STEP_US, 0.0]);
+        assert_eq!(
+            flagged(&c),
+            [(InvariantKind::ClockMonotonicity, 2, Some(1))]
+        );
+    }
+
+    #[test]
+    fn a_locked_accept_past_delta_from_the_own_reference_is_flagged() {
+        let (mut c, cfg) = checker();
+        let pc = &cfg.protocol_config;
+        let clock = 2.0 * BP_US;
+        // The receiver's clock sits δ + 1 µs behind the beacon's arrival
+        // estimate `ts + t_p`.
+        let ts = (clock - pc.t_p_us + pc.guard_fine_us + 1.0) as u64;
+        deliver(&mut c, 2, 1, ts, clock, accept(false, true));
+        assert_eq!(
+            flagged(&c),
+            [(InvariantKind::GuardInfluenceBound, 2, Some(1))]
+        );
+        // Within δ it is routine.
+        let (mut c, _) = checker();
+        let ts = (clock - pc.t_p_us + pc.guard_fine_us - 1.0) as u64;
+        deliver(&mut c, 2, 1, ts, clock, accept(false, true));
+        assert_eq!(flagged(&c), []);
+    }
+
+    #[test]
+    fn a_stepping_or_coarse_guarded_accept_is_not_flagged() {
+        let (_, cfg) = checker();
+        let pc = &cfg.protocol_config;
+        let clock = 2.0 * BP_US;
+        let ts = (clock - pc.t_p_us + pc.guard_fine_us + 1.0) as u64;
+        for verdict in [accept(true, true), accept(false, false)] {
+            let (mut c, _) = checker();
+            deliver(&mut c, 2, 1, ts, clock, verdict);
+            assert_eq!(flagged(&c), [], "{verdict:?}");
+        }
+    }
 }

@@ -7,41 +7,28 @@
 //! actions, so — like any passive hook — a recorded run is bit-identical to
 //! an unrecorded one.
 //!
-//! Receiver outcomes are classified from the SSTSP diagnostic-counter
-//! deltas around each delivery, the same evidence the invariant checker
-//! uses. Protocols without stats classify as [`RxOutcome::Ignored`].
+//! Each receiver outcome is the verdict the receiver itself returned from
+//! `on_beacon`, the same evidence the invariant checker uses; debug builds
+//! of the engine check every verdict against the receiver's SSTSP
+//! counters. Protocols without security checks record
+//! [`RxOutcome::Ignored`].
 
 use crate::engine::RunResult;
 use crate::instrument::{BpView, DeliveryObs, EngineHook};
 use crate::scenario::{CampaignSpec, ScenarioConfig, TopologySpec};
-use protocols::api::{AnchorRegistry, NodeId};
-use protocols::sstsp::SstspStats;
+use protocols::api::{AnchorRegistry, NodeId, RxVerdict};
 use sstsp_telemetry::{RxOutcome, TraceEvent};
 use wireless::{DomainDecomposition, Topology};
 
-/// Classify what a receiver did with one beacon from its stats deltas.
-///
-/// Rejection counters are checked before acceptance: a single delivery
-/// moves at most one rejection counter, and the priority order only matters
-/// when a protocol bumps several at once (which SSTSP never does).
-pub fn classify_rx(before: Option<SstspStats>, after: Option<SstspStats>) -> RxOutcome {
-    let (Some(b), Some(a)) = (before, after) else {
-        return RxOutcome::Ignored;
-    };
-    if a.guard_rejections > b.guard_rejections {
-        RxOutcome::GuardReject
-    } else if a.mutesla_rejections > b.mutesla_rejections {
-        RxOutcome::MuteslaReject
-    } else if a.unknown_anchor > b.unknown_anchor {
-        RxOutcome::UnknownAnchor
-    } else if a.accepted > b.accepted {
-        RxOutcome::Accept {
-            retarget: a.retargets > b.retargets,
-        }
-    } else if a.coarse_syncs > b.coarse_syncs {
-        RxOutcome::CoarseSync
-    } else {
-        RxOutcome::Ignored
+/// The trace outcome of a receiver's verdict: one outcome per verdict,
+/// an accept keeping only its `retarget` flag.
+pub fn classify_rx(verdict: RxVerdict) -> RxOutcome {
+    match verdict {
+        RxVerdict::Ignored => RxOutcome::Ignored,
+        RxVerdict::GuardReject => RxOutcome::GuardReject,
+        RxVerdict::MuteslaReject => RxOutcome::MuteslaReject,
+        RxVerdict::UnknownAnchor => RxOutcome::UnknownAnchor,
+        RxVerdict::Accept { retarget, .. } => RxOutcome::Accept { retarget },
     }
 }
 
@@ -161,7 +148,7 @@ impl EngineHook for TraceRecorder {
             dst: obs.ctx.dst,
             t_rx_us: obs.ctx.t_rx.as_us_f64(),
             clock_before_us: obs.clock_before_us,
-            outcome: classify_rx(obs.stats_before, obs.stats_after),
+            outcome: classify_rx(obs.verdict),
         });
     }
 
@@ -216,36 +203,6 @@ mod tests {
     use super::*;
     use crate::engine::Network;
     use crate::scenario::ProtocolKind;
-
-    #[test]
-    fn classification_priority_and_retarget_flag() {
-        let b = SstspStats::default();
-        assert_eq!(classify_rx(None, None), RxOutcome::Ignored);
-        assert_eq!(classify_rx(Some(b), Some(b)), RxOutcome::Ignored);
-        let mut a = b;
-        a.guard_rejections += 1;
-        assert_eq!(classify_rx(Some(b), Some(a)), RxOutcome::GuardReject);
-        let mut a = b;
-        a.mutesla_rejections += 1;
-        assert_eq!(classify_rx(Some(b), Some(a)), RxOutcome::MuteslaReject);
-        let mut a = b;
-        a.unknown_anchor += 1;
-        assert_eq!(classify_rx(Some(b), Some(a)), RxOutcome::UnknownAnchor);
-        let mut a = b;
-        a.accepted += 1;
-        assert_eq!(
-            classify_rx(Some(b), Some(a)),
-            RxOutcome::Accept { retarget: false }
-        );
-        a.retargets += 1;
-        assert_eq!(
-            classify_rx(Some(b), Some(a)),
-            RxOutcome::Accept { retarget: true }
-        );
-        let mut a = b;
-        a.coarse_syncs += 1;
-        assert_eq!(classify_rx(Some(b), Some(a)), RxOutcome::CoarseSync);
-    }
 
     #[test]
     fn recorder_produces_a_well_formed_trace() {

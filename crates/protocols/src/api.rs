@@ -76,6 +76,37 @@ pub struct ReceivedBeacon {
     pub local_rx_us: f64,
 }
 
+/// What a receiver did with one delivered beacon, as it reports it from
+/// [`SyncProtocol::on_beacon`]. Hooks see it in each delivery observation:
+/// trace recorders log it, and the invariant checker learns from it which
+/// beacons were admitted and which clock steps the protocol sanctioned.
+/// Debug builds of the engine check every verdict against the receiver's
+/// SSTSP counters around the delivery.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RxVerdict {
+    /// Processed without a security verdict: a coarse-phase scan sample, a
+    /// plain beacon at a fine-phase SSTSP station, a sender the station's
+    /// stickiness or domain rules skip, or any protocol without checks.
+    Ignored,
+    /// Rejected by the guard-time check.
+    GuardReject,
+    /// Rejected by µTESLA verification (interval, disclosed key or MAC).
+    MuteslaReject,
+    /// Dropped: the sender has no published µTESLA anchor.
+    UnknownAnchor,
+    /// Passed every check and was admitted.
+    Accept {
+        /// The acceptance re-aimed the receiver's clock discipline.
+        retarget: bool,
+        /// The acceptance stepped the receiver's adjusted clock (a domain
+        /// takeover): a sanctioned discontinuity.
+        clock_step: bool,
+        /// The guard-lock state the guard check ran under: the fine δ when
+        /// `true`, the loose coarse threshold when `false`.
+        guard_locked: bool,
+    },
+}
+
 /// A registry entry: either a materialized anchor, or the `(seed, n)` pair
 /// whose walk `hⁿ(seed)` is owed on first lookup.
 #[derive(Debug, Clone, Copy)]
@@ -429,8 +460,9 @@ pub trait SyncProtocol {
     /// following beacon period.
     fn on_tx_outcome(&mut self, _ctx: &mut NodeCtx<'_>, _collided: bool) {}
 
-    /// A beacon arrived.
-    fn on_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: ReceivedBeacon);
+    /// A beacon arrived; returns what the station did with it. Protocols
+    /// without security checks return [`RxVerdict::Ignored`].
+    fn on_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: ReceivedBeacon) -> RxVerdict;
 
     /// Called at the end of each beacon period (bookkeeping: missed-beacon
     /// counters, phase transitions).
@@ -459,8 +491,9 @@ pub trait SyncProtocol {
         true
     }
 
-    /// SSTSP diagnostic counters, if this node runs SSTSP (used by the
-    /// harness to report guard/µTESLA rejection totals).
+    /// SSTSP diagnostic counters, if this node runs SSTSP (the run's
+    /// guard/µTESLA rejection totals, and debug builds' audit of each
+    /// [`RxVerdict`]).
     fn sstsp_stats(&self) -> Option<crate::sstsp::SstspStats> {
         None
     }

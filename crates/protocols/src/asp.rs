@@ -17,7 +17,7 @@
 //! apply a *rate* correction estimated from successive received
 //! timestamps, which is what "self-time-correcting" refers to.
 
-use crate::api::{BeaconIntent, BeaconPayload, NodeCtx, ReceivedBeacon, SyncProtocol};
+use crate::api::{BeaconIntent, BeaconPayload, NodeCtx, ReceivedBeacon, RxVerdict, SyncProtocol};
 use clocks::TsfTimer;
 use mac80211::frame::BeaconBody;
 use rand::Rng;
@@ -114,7 +114,7 @@ impl SyncProtocol for AspNode {
         })
     }
 
-    fn on_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: ReceivedBeacon) {
+    fn on_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: ReceivedBeacon) -> RxVerdict {
         let ts = rx.payload.body().timestamp_us as f64 + ctx.config.t_p_us;
         let corrected_now = self.corrected(rx.local_rx_us);
         if ts > corrected_now {
@@ -145,6 +145,7 @@ impl SyncProtocol for AspNode {
             }
         }
         self.prev_obs = Some((rx.local_rx_us, ts));
+        RxVerdict::Ignored
     }
 
     fn on_bp_end(&mut self, _ctx: &mut NodeCtx<'_>) {

@@ -37,7 +37,7 @@ pub mod tsf;
 
 pub use api::{
     AnchorRegistry, BeaconIntent, BeaconPayload, HotState, NodeCtx, NodeId, ProtocolConfig,
-    ReceivedBeacon, SyncProtocol,
+    ReceivedBeacon, RxVerdict, SyncProtocol,
 };
 pub use asp::AspNode;
 pub use rk::RkNode;

@@ -21,7 +21,7 @@
 //! schedule is not public); it is the "equal participation" counterpoint
 //! to the fastest-node-priority family in the shootout experiments.
 
-use crate::api::{BeaconIntent, BeaconPayload, NodeCtx, ReceivedBeacon, SyncProtocol};
+use crate::api::{BeaconIntent, BeaconPayload, NodeCtx, ReceivedBeacon, RxVerdict, SyncProtocol};
 use mac80211::frame::BeaconBody;
 use rand::Rng;
 
@@ -110,7 +110,7 @@ impl SyncProtocol for RkNode {
         })
     }
 
-    fn on_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: ReceivedBeacon) {
+    fn on_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: ReceivedBeacon) -> RxVerdict {
         self.bps_since_rx = 0;
         let remote = rx.payload.body().timestamp_us as f64 + ctx.config.t_p_us;
         let local_controlled = self.controlled(rx.local_rx_us);
@@ -138,6 +138,7 @@ impl SyncProtocol for RkNode {
             }
         }
         self.prev_obs = Some((src, rx.local_rx_us, remote));
+        RxVerdict::Ignored
     }
 
     fn on_bp_end(&mut self, _ctx: &mut NodeCtx<'_>) {

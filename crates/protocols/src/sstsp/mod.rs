@@ -35,7 +35,7 @@
 
 use crate::api::{
     BeaconIntent, BeaconPayload, HotState, MeshRole, NodeCtx, NodeId, ProtocolConfig,
-    ReceivedBeacon, SyncProtocol,
+    ReceivedBeacon, RxVerdict, SyncProtocol,
 };
 use clocks::{AdjustedClock, SyncSample};
 use mac80211::frame::BeaconBody;
@@ -77,16 +77,18 @@ pub struct SstspStats {
     /// Synchronization restarts performed by the recovery extension.
     pub recovery_restarts: u64,
     /// Secured beacons that passed every check (guard + µTESLA) and were
-    /// admitted as evidence of a live reference. External invariant
-    /// checkers diff this counter around a delivery to detect acceptance.
+    /// admitted as evidence of a live reference. Debug builds of the engine
+    /// check that it moves exactly on an [`RxVerdict::Accept`].
     pub accepted: u64,
     /// Discontinuous adjusted-clock steps (coarse-phase completion, domain
-    /// takeover). These are the *sanctioned* discontinuities; an external
-    /// monotonicity check exempts a BP exactly when this counter moved.
+    /// takeover): the *sanctioned* discontinuities. A takeover's step is
+    /// the `clock_step` of its accept verdict, which debug builds check
+    /// against this counter.
     pub clock_steps: u64,
     /// Snapshot of the guard-lock state (coarse → fine δ) at the time the
-    /// stats were read. Not a counter; exposed so external checkers can
-    /// reconstruct which guard threshold applied to a given beacon.
+    /// stats were read. Not a counter; debug builds check it, read before a
+    /// delivery, against the `guard_locked` of the delivery's accept
+    /// verdict.
     pub guard_locked: bool,
 }
 
@@ -516,9 +518,12 @@ impl SstspNode {
         self.pending.clear();
     }
 
-    fn on_secured_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: &ReceivedBeacon) {
+    /// The fine phase's handling of a secured beacon: domain and
+    /// stickiness rules, the guard check, µTESLA, then the clock update.
+    /// Each exit returns its own verdict.
+    fn on_secured_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: &ReceivedBeacon) -> RxVerdict {
         let BeaconPayload::Secured(body, auth) = rx.payload else {
-            return;
+            return RxVerdict::Ignored;
         };
         let src = body.src;
         self.rx_secured_this_bp = self.rx_secured_this_bp.saturating_add(1);
@@ -545,7 +550,7 @@ impl SstspNode {
                     !src_bridge && role.same_domain(src)
                 };
                 if !allowed {
-                    return;
+                    return RxVerdict::Ignored;
                 }
             }
         }
@@ -594,7 +599,7 @@ impl SstspNode {
                 && body.root == my_root
                 && body.hop.saturating_add(1) < self.my_hop;
             if !takeover && !upgrade {
-                return;
+                return RxVerdict::Ignored;
             }
         } else if !have_live_ref
             && !self.is_reference
@@ -606,7 +611,7 @@ impl SstspNode {
             // Re-attachment after upstream silence must move *toward* the
             // root: following an equal-or-deeper station can create a
             // follow-cycle whose subtree detaches and free-runs.
-            return;
+            return RxVerdict::Ignored;
         }
         // A reference only yields to a strictly lower root id — except
         // that a subordinate reference keeps accepting its gateway
@@ -614,7 +619,7 @@ impl SstspNode {
         let from_upstream =
             self.is_subordinate(ctx.id) && self.ref_src == Some(src) && body.root == my_root;
         if self.is_reference && !takeover && !from_upstream {
-            return;
+            return RxVerdict::Ignored;
         }
 
         // Guard-time check (δ): the timestamp must be close to our own
@@ -632,7 +637,8 @@ impl SstspNode {
         // exploit root priority to drag the network's time; a production
         // design would authenticate root claims — future work, as is the
         // whole multi-hop mode.)
-        let guard = if self.guard_locked {
+        let guard_locked = self.guard_locked;
+        let guard = if guard_locked {
             ctx.config.guard_fine_us
         } else {
             GUARD_COARSE_US
@@ -666,7 +672,7 @@ impl SstspNode {
                     self.pending.clear();
                 }
             }
-            return;
+            return RxVerdict::GuardReject;
         }
 
         // µTESLA checks: interval index, disclosed-key validity,
@@ -674,6 +680,7 @@ impl SstspNode {
         // *new* sender are validated against a candidate verifier that is
         // only committed on success — an invalid beacon must never evict
         // the current reference state.
+        let mut clock_step = false;
         let on_current_ref = self.ref_src == Some(src);
         let released = if let Some(verifier) = self.verifier.as_mut().filter(|_| on_current_ref) {
             match verifier.observe(&body.auth_bytes(), &auth, c_now) {
@@ -682,7 +689,7 @@ impl SstspNode {
                     self.stats.mutesla_rejections += 1;
                     telemetry::count!("sstsp.reject.mutesla");
                     self.rejections_this_bp += 1;
-                    return;
+                    return RxVerdict::MuteslaReject;
                 }
             }
         } else {
@@ -691,7 +698,7 @@ impl SstspNode {
                 // attacker, whose beacons cannot be authenticated at all.
                 self.stats.unknown_anchor += 1;
                 telemetry::count!("sstsp.reject.unknown_anchor");
-                return;
+                return RxVerdict::UnknownAnchor;
             };
             // Reuse the retired verifier for this source when one is
             // cached: its authenticated element turns the disclosed-key
@@ -748,6 +755,7 @@ impl SstspNode {
                         self.adjusted.step_to(rx.local_rx_us, ts_ref);
                         self.stats.clock_steps += 1;
                         telemetry::count!("sstsp.clock_step");
+                        clock_step = true;
                         self.guard_locked = false;
                     }
                     released
@@ -760,7 +768,7 @@ impl SstspNode {
                     self.stats.mutesla_rejections += 1;
                     telemetry::count!("sstsp.reject.mutesla");
                     self.rejections_this_bp += 1;
-                    return;
+                    return RxVerdict::MuteslaReject;
                 }
             }
         };
@@ -787,9 +795,15 @@ impl SstspNode {
             self.guard_locked = true;
         }
 
-        // Promote the observation whose interval just got authenticated.
+        // Promote the observation whose interval just got authenticated,
+        // in steady state the oldest one pending. Checking the front first
+        // spares the out-of-line search on nearly every accept.
         if let Some(ab) = released {
-            if let Some(pos) = self.pending.iter().position(|p| p.interval == ab.interval) {
+            let pos = match self.pending.front() {
+                Some(p) if p.interval == ab.interval => Some(0),
+                _ => self.pending.iter().position(|p| p.interval == ab.interval),
+            };
+            if let Some(pos) = pos {
                 let obs = self.pending.remove(pos).expect("position valid");
                 if self.samples.len() == 2 {
                     self.samples.pop_front();
@@ -813,6 +827,7 @@ impl SstspNode {
 
         // Clock adjustment at reception of beacon j, using authenticated
         // beacons (j-1) and (j-2): equations (2)-(5).
+        let mut retarget = false;
         if self.samples.len() == 2 {
             let prev = self.samples[1];
             let prev2 = self.samples[0];
@@ -825,7 +840,13 @@ impl SstspNode {
             {
                 self.stats.retargets += 1;
                 telemetry::count!("sstsp.retarget");
+                retarget = true;
             }
+        }
+        RxVerdict::Accept {
+            retarget,
+            clock_step,
+            guard_locked,
         }
     }
 
@@ -966,7 +987,7 @@ impl SyncProtocol for SstspNode {
         }
     }
 
-    fn on_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: ReceivedBeacon) {
+    fn on_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: ReceivedBeacon) -> RxVerdict {
         match &mut self.phase {
             Phase::Coarse { offsets, .. } => {
                 // Promiscuous scan: collect offsets from any beacon; the
@@ -974,14 +995,14 @@ impl SyncProtocol for SstspNode {
                 let ts_ref = rx.payload.body().timestamp_us as f64 + ctx.config.t_p_us;
                 let offset = ts_ref - self.adjusted.value(rx.local_rx_us);
                 offsets.push(offset);
+                RxVerdict::Ignored
             }
-            Phase::Fine => {
-                if rx.payload.is_secured() {
-                    self.on_secured_beacon(ctx, &rx);
-                }
-                // Unsecured beacons are ignored in the fine phase: they
-                // carry no authenticity and SSTSP never trusts them.
-            }
+            // Unsecured beacons are ignored in the fine phase: they carry
+            // no authenticity and SSTSP never trusts them.
+            Phase::Fine => match rx.payload {
+                BeaconPayload::Secured(..) => self.on_secured_beacon(ctx, &rx),
+                BeaconPayload::Plain(_) => RxVerdict::Ignored,
+            },
         }
     }
 

@@ -22,7 +22,8 @@
 //! exists). Each [`Competition`] rule maps it to a competition period.
 
 use crate::api::{
-    BeaconIntent, BeaconPayload, HotState, NodeCtx, ProtocolConfig, ReceivedBeacon, SyncProtocol,
+    BeaconIntent, BeaconPayload, HotState, NodeCtx, ProtocolConfig, ReceivedBeacon, RxVerdict,
+    SyncProtocol,
 };
 use clocks::TsfTimer;
 use mac80211::frame::BeaconBody;
@@ -146,11 +147,12 @@ impl SyncProtocol for TsfNode {
         })
     }
 
-    fn on_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: ReceivedBeacon) {
+    fn on_beacon(&mut self, ctx: &mut NodeCtx<'_>, rx: ReceivedBeacon) -> RxVerdict {
         // §11.1.2.4: adopt the timestamp (adjusted for the receive path
         // delay) iff it is later than the local TSF timer.
         let ts = rx.payload.body().timestamp_us as f64 + ctx.config.t_p_us;
         self.updated |= self.timer.adopt_if_later(ts, rx.local_rx_us);
+        RxVerdict::Ignored
     }
 
     fn on_bp_end(&mut self, _ctx: &mut NodeCtx<'_>) {

@@ -322,7 +322,6 @@ fn parse_event_line(line: &str) -> Result<TraceEvent, String> {
                 "guard_reject" => RxOutcome::GuardReject,
                 "mutesla_reject" => RxOutcome::MuteslaReject,
                 "unknown_anchor" => RxOutcome::UnknownAnchor,
-                "coarse_sync" => RxOutcome::CoarseSync,
                 "ignored" => RxOutcome::Ignored,
                 other => return Err(format!("unknown rx outcome `{other}`")),
             };

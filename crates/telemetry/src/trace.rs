@@ -23,8 +23,9 @@ use std::fmt::Write;
 /// version instead of misinterpreting them.
 pub const TRACE_SCHEMA: u32 = 1;
 
-/// What a receiver did with one delivered beacon, classified from the
-/// receiver's diagnostic-counter deltas.
+/// What a receiver did with one delivered beacon, as the receiver itself
+/// reported it (the engine-side recorder maps each protocol verdict to one
+/// outcome).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RxOutcome {
     /// Passed every check and was admitted; `retarget` marks whether it
@@ -39,10 +40,9 @@ pub enum RxOutcome {
     MuteslaReject,
     /// Dropped: the sender's µTESLA anchor is unknown to the receiver.
     UnknownAnchor,
-    /// Consumed for coarse synchronization only.
-    CoarseSync,
-    /// Processed without any counted state change (e.g. a plain beacon at
-    /// an already-synchronized SSTSP station, or a non-SSTSP protocol).
+    /// Processed without a security verdict (e.g. a coarse-phase scan
+    /// sample, a plain beacon at an already-synchronized SSTSP station, or
+    /// a non-SSTSP protocol).
     Ignored,
 }
 
@@ -54,7 +54,6 @@ impl RxOutcome {
             RxOutcome::GuardReject => "guard_reject",
             RxOutcome::MuteslaReject => "mutesla_reject",
             RxOutcome::UnknownAnchor => "unknown_anchor",
-            RxOutcome::CoarseSync => "coarse_sync",
             RxOutcome::Ignored => "ignored",
         }
     }
