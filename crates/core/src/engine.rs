@@ -112,6 +112,9 @@ pub struct RunResult {
     pub guard_rejections: u64,
     /// Aggregated SSTSP µTESLA rejections across honest stations.
     pub mutesla_rejections: u64,
+    /// Aggregated SSTSP rejections of beacons whose sender published no
+    /// anchor, across honest stations.
+    pub unknown_anchor: u64,
     /// Aggregated successful SSTSP clock re-targetings.
     pub retargets: u64,
     /// Attack alerts raised by the recovery extension (if enabled).
@@ -1370,6 +1373,7 @@ impl<'h> Run<'h> {
 
         let mut guard_rejections = 0u64;
         let mut mutesla_rejections = 0u64;
+        let mut unknown_anchor = 0u64;
         let mut retargets = 0u64;
         let mut alerts = 0u64;
         for (i, node) in nodes.iter().enumerate() {
@@ -1379,6 +1383,7 @@ impl<'h> Run<'h> {
             if let Some(s) = node.sstsp_stats() {
                 guard_rejections += s.guard_rejections;
                 mutesla_rejections += s.mutesla_rejections;
+                unknown_anchor += s.unknown_anchor;
                 retargets += s.retargets;
                 alerts += s.alerts;
             }
@@ -1476,6 +1481,7 @@ impl<'h> Run<'h> {
             attacker_became_reference,
             guard_rejections,
             mutesla_rejections,
+            unknown_anchor,
             retargets,
             alerts,
             hop_profile,
@@ -1676,5 +1682,56 @@ mod tests {
                 kind.name()
             );
         }
+    }
+
+    /// No honest run meets a sender without a published anchor, so this
+    /// hook makes one: in BPs 1..=LAST it rewrites the sender of every
+    /// secured beacon delivered to station `TARGET` to an id that never
+    /// published an anchor. The window closes early enough that `TARGET`
+    /// holds no live reference yet (stickiness would ignore other senders
+    /// once it does).
+    #[test]
+    fn a_sender_without_an_anchor_is_reported_as_unknown() {
+        use protocols::api::RxVerdict;
+        const TARGET: NodeId = 3;
+        const LAST: u64 = 12;
+        const NOBODY: NodeId = 1_000;
+        #[derive(Default)]
+        struct Unanchored {
+            rewritten: u64,
+            unknown: u64,
+        }
+        impl EngineHook for Unanchored {
+            fn on_delivery(&mut self, ctx: &DeliveryCtx, p: &mut BeaconPayload) -> DeliveryFate {
+                if let BeaconPayload::Secured(body, _) = p {
+                    if ctx.dst == TARGET && ctx.bp <= LAST {
+                        body.src = NOBODY;
+                        self.rewritten += 1;
+                    }
+                }
+                DeliveryFate::Deliver
+            }
+            fn post_delivery(&mut self, obs: &DeliveryObs<'_>) {
+                if obs.verdict == RxVerdict::UnknownAnchor {
+                    assert_eq!(
+                        obs.ctx.dst, TARGET,
+                        "only the target meets an unknown sender"
+                    );
+                    assert!(obs.anchors.get(NOBODY).is_none());
+                    self.unknown += 1;
+                }
+            }
+        }
+        let cfg = ScenarioConfig::new(ProtocolKind::Sstsp, 10, 10.0, 5);
+        let mut hook = Unanchored::default();
+        let session = telemetry::recording();
+        let r = Network::build(&cfg).run_with_hook(&mut hook);
+        let counted = telemetry::snapshot().counter("sstsp.reject.unknown_anchor");
+        drop(session);
+        assert!(hook.rewritten > 0, "no secured beacon reached the target");
+        assert!(hook.unknown > 0, "no delivery was reported as unknown");
+        assert_eq!(counted, hook.unknown, "telemetry vs verdicts");
+        assert_eq!(r.unknown_anchor, hook.unknown, "SstspStats vs verdicts");
+        assert!(r.sync_latency_s.is_some(), "the target still synchronizes");
     }
 }

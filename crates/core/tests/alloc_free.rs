@@ -13,6 +13,10 @@
 //! `Vec`/`Box`/`String` back on the per-BP path shows up as ~100 extra
 //! counts and fails loudly.
 //!
+//! Set-up is pinned the same way: the build-allocation delta between two
+//! network sizes bounds the allocations per station, one for an SSTSP
+//! station (its `Box`; its receive queues and µTESLA buffer are inline).
+//!
 //! This file must stay a single-`#[test]` binary: the counter is global to
 //! the process, so a concurrently running test would pollute the delta.
 
@@ -79,6 +83,16 @@ fn run_allocs(n: u32, duration_s: f64) -> (u64, u64) {
     (during, bps)
 }
 
+/// Allocation events during `Network::build` of an n-node SSTSP scenario.
+fn build_allocs(n: u32) -> u64 {
+    let cfg = ScenarioConfig::new(ProtocolKind::Sstsp, n, 10.0, 2006);
+    let before = ALLOC_CALLS.load(Relaxed);
+    let net = std::hint::black_box(Network::build(&cfg));
+    let during = ALLOC_CALLS.load(Relaxed) - before;
+    drop(net);
+    during
+}
+
 #[test]
 fn per_bp_heap_allocations_are_amortized_zero() {
     // Warm thread-local state (RNG stream tables, crypto memos) so the
@@ -110,5 +124,16 @@ fn per_bp_heap_allocations_are_amortized_zero() {
         delta <= 16,
         "per-BP allocation regression: {extra_bps} extra BPs cost {delta} extra \
          allocation events ({short_allocs} at {short_bps} BPs -> {long_allocs} at {long_bps} BPs)"
+    );
+
+    // Set-up: 100 more stations may cost at most 100 more allocations, one
+    // `Box` each; a heap buffer per station would add another 100.
+    let (small, large) = (build_allocs(100), build_allocs(200));
+    let extra_stations = 100;
+    let build_delta = large.saturating_sub(small);
+    assert!(
+        build_delta <= extra_stations,
+        "per-station build allocation regression: {extra_stations} extra SSTSP stations \
+         cost {build_delta} extra allocation events ({small} at n = 100 -> {large} at n = 200)"
     );
 }

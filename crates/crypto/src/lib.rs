@@ -39,7 +39,6 @@ pub use chain::{verify_distance, ChainElement, HashChain, CHAIN_ELEMENT_LEN};
 pub use fractal::FractalTraverser;
 pub use hmac::{hmac_sha256, Mac128};
 pub use mu_tesla::{
-    sign_with_chain, BeaconAuth, IntervalSchedule, MuTeslaSigner, MuTeslaVerifier, PayloadBuf,
-    VerifyError,
+    sign_with_chain, BeaconAuth, IntervalSchedule, MuTeslaSigner, MuTeslaVerifier, VerifyError,
 };
 pub use sha256::{sha256, Sha256};

@@ -18,12 +18,12 @@
 //! synchronization so a receiver can tell which interval it is in — is what
 //! SSTSP's coarse synchronization phase provides.
 
-use crate::chain::{chain_step_n, ChainElement, HashChain, CHAIN_ELEMENT_LEN};
+use crate::chain::{chain_step_n, ChainElement, HashChain};
 use crate::fractal::FractalTraverser;
 use crate::hmac::{hmac_sha256_128, mac_eq, Mac128};
 use serde::{Deserialize, Serialize};
 use sstsp_telemetry as telemetry;
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 /// Test-only mutation hooks (compiled under the `mutation-hooks` feature,
@@ -131,64 +131,69 @@ pub struct BeaconAuth {
 /// Stack-buffer size for beacon-sized MAC inputs (payload + 4-byte index).
 const MAC_STACK: usize = 60;
 
+/// The longest payload the MAC's stack path hashes, and so the longest a
+/// [`MuTeslaVerifier`] buffers: 56 bytes. The engine's beacons
+/// authenticate 32 (`BeaconBody::auth_bytes`).
+const MAX_VERIFIED_PAYLOAD: usize = MAC_STACK - 4;
+
 /// Single-entry memo for [`mac_beacon`] over beacon-sized inputs. Every
 /// receiver of a broadcast beacon recomputes the *same* HMAC over the same
 /// `(key, payload, interval)` triple — n−1 identical calls per released
 /// beacon. The function is pure, so the cached MAC is bit-identical to a
 /// recompute; thread-local storage keeps parallel sweeps race-free.
-#[derive(Clone, Copy)]
 struct MacMemo {
     key: ChainElement,
     len: usize,
-    payload: [u8; MAC_STACK - 4],
+    payload: [u8; MAX_VERIFIED_PAYLOAD],
     interval: u32,
     mac: Mac128,
 }
 
 thread_local! {
-    static MAC_MEMO: Cell<Option<MacMemo>> = const { Cell::new(None) };
+    /// Compared where it sits: a hit copies out only the MAC.
+    static MAC_MEMO: RefCell<Option<MacMemo>> = const { RefCell::new(None) };
 }
 
 /// `HMAC_key(B, j)`: the MAC input is the payload followed by the
 /// little-endian interval index, per the paper's `(B, j)`. Beacon-sized
 /// payloads are assembled on the stack so the per-beacon hot path does not
 /// allocate, and memoized so the per-receiver fan-out pays the HMAC once.
-fn mac_beacon(key: &[u8], payload: &[u8], interval: u32) -> Mac128 {
-    if key.len() == CHAIN_ELEMENT_LEN && payload.len() <= MAC_STACK - 4 {
-        if let Some(m) = MAC_MEMO.get() {
-            if m.interval == interval
-                && m.len == payload.len()
-                && m.key[..] == *key
-                && m.payload[..m.len] == *payload
-            {
-                return m.mac;
-            }
-        }
-        let mut msg = [0u8; MAC_STACK];
-        msg[..payload.len()].copy_from_slice(payload);
-        msg[payload.len()..payload.len() + 4].copy_from_slice(&interval.to_le_bytes());
-        let mac = hmac_sha256_128(key, &msg[..payload.len() + 4]);
-        let mut entry = MacMemo {
-            key: key.try_into().expect("length checked"),
-            len: payload.len(),
-            payload: [0u8; MAC_STACK - 4],
-            interval,
-            mac,
-        };
-        entry.payload[..payload.len()].copy_from_slice(payload);
-        MAC_MEMO.set(Some(entry));
-        mac
-    } else if payload.len() <= MAC_STACK - 4 {
-        let mut msg = [0u8; MAC_STACK];
-        msg[..payload.len()].copy_from_slice(payload);
-        msg[payload.len()..payload.len() + 4].copy_from_slice(&interval.to_le_bytes());
-        hmac_sha256_128(key, &msg[..payload.len() + 4])
-    } else {
-        let mut msg = Vec::with_capacity(payload.len() + 4);
+fn mac_beacon(key: &ChainElement, payload: &[u8], interval: u32) -> Mac128 {
+    let len = payload.len();
+    if len > MAX_VERIFIED_PAYLOAD {
+        let mut msg = Vec::with_capacity(len + 4);
         msg.extend_from_slice(payload);
         msg.extend_from_slice(&interval.to_le_bytes());
-        hmac_sha256_128(key, &msg)
+        return hmac_sha256_128(key, &msg);
     }
+    let hit = MAC_MEMO.with_borrow(|memo| match memo {
+        Some(m)
+            if m.interval == interval
+                && m.len == len
+                && m.key == *key
+                && m.payload[..len] == *payload =>
+        {
+            Some(m.mac)
+        }
+        _ => None,
+    });
+    if let Some(mac) = hit {
+        return mac;
+    }
+    let mut msg = [0u8; MAC_STACK];
+    msg[..len].copy_from_slice(payload);
+    msg[len..len + 4].copy_from_slice(&interval.to_le_bytes());
+    let mac = hmac_sha256_128(key, &msg[..len + 4]);
+    let mut kept = [0u8; MAX_VERIFIED_PAYLOAD];
+    kept[..len].copy_from_slice(payload);
+    MAC_MEMO.set(Some(MacMemo {
+        key: *key,
+        len,
+        payload: kept,
+        interval,
+        mac,
+    }));
+    mac
 }
 
 /// Compute the µTESLA fields for `payload` in interval `j` using an
@@ -357,96 +362,22 @@ pub enum VerifyError {
     /// The buffered previous beacon failed MAC verification with the
     /// (valid) disclosed key.
     PreviousBeaconForged,
+    /// The payload is longer than the 56 bytes the verifier buffers.
+    /// Refused before any other check.
+    PayloadTooLong {
+        /// The refused payload's length in bytes.
+        len: usize,
+    },
 }
 
-/// Inline capacity of [`PayloadBuf`]. Beacon auth bytes are 32, so every
-/// payload the engine buffers stays inline; larger payloads spill to the
-/// heap transparently.
-const PAYLOAD_INLINE: usize = 64;
-
-/// A beacon payload, held inline when beacon-sized. The verifier buffers
-/// one payload per observed beacon — with an inline buffer that buffering
-/// is heap-allocation-free on the engine's per-delivery hot path.
-#[derive(Clone)]
-pub struct PayloadBuf(PayloadRepr);
-
-#[derive(Clone)]
-enum PayloadRepr {
-    Inline { len: u8, buf: [u8; PAYLOAD_INLINE] },
-    Heap(Vec<u8>),
-}
-
-impl PayloadBuf {
-    /// View the payload bytes.
-    pub fn as_slice(&self) -> &[u8] {
-        match &self.0 {
-            PayloadRepr::Inline { len, buf } => &buf[..*len as usize],
-            PayloadRepr::Heap(v) => v,
-        }
-    }
-}
-
-impl From<&[u8]> for PayloadBuf {
-    fn from(bytes: &[u8]) -> Self {
-        if bytes.len() <= PAYLOAD_INLINE {
-            let mut buf = [0u8; PAYLOAD_INLINE];
-            buf[..bytes.len()].copy_from_slice(bytes);
-            PayloadBuf(PayloadRepr::Inline {
-                len: bytes.len() as u8,
-                buf,
-            })
-        } else {
-            PayloadBuf(PayloadRepr::Heap(bytes.to_vec()))
-        }
-    }
-}
-
-impl From<Vec<u8>> for PayloadBuf {
-    fn from(bytes: Vec<u8>) -> Self {
-        PayloadBuf::from(bytes.as_slice())
-    }
-}
-
-impl std::ops::Deref for PayloadBuf {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl PartialEq for PayloadBuf {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for PayloadBuf {}
-
-impl PartialEq<Vec<u8>> for PayloadBuf {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl PartialEq<&[u8]> for PayloadBuf {
-    fn eq(&self, other: &&[u8]) -> bool {
-        self.as_slice() == *other
-    }
-}
-
-impl std::fmt::Debug for PayloadBuf {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("PayloadBuf").field(&self.as_slice()).finish()
-    }
-}
-
-/// A beacon whose authenticity has been established.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AuthenticatedBeacon {
-    /// The interval the beacon was sent in.
-    pub interval: u32,
-    /// The beacon payload.
-    pub payload: PayloadBuf,
+/// A beacon buffered until a later disclosure authenticates it, held
+/// inline: its interval, its payload (the first `len` bytes of `payload`)
+/// and the MAC it carried.
+struct PendingBeacon {
+    interval: u32,
+    len: usize,
+    payload: [u8; MAX_VERIFIED_PAYLOAD],
+    mac: Mac128,
 }
 
 /// Receiver side: verifies disclosed keys against the anchor and
@@ -458,10 +389,10 @@ pub struct MuTeslaVerifier {
     /// the key of interval `j` is `h^{n-j}`. Caching it reduces disclosed-key
     /// verification to a handful of hash applications.
     cached_key: Option<(u32, ChainElement)>,
-    /// Beacon received in the previous interval, awaiting its key. The
-    /// payload is stored inline ([`PayloadBuf`]) so buffering does not
-    /// allocate on the per-delivery hot path.
-    pending: Option<(u32, PayloadBuf, Mac128)>,
+    /// Beacon received in the previous interval, awaiting its key. Stored
+    /// inline, so buffering neither allocates nor moves the payload again
+    /// when it is authenticated.
+    pending: Option<PendingBeacon>,
     /// One-way-function invocations spent validating disclosed keys (the
     /// observable that distinguishes the O(Δj) cached path from the O(j)
     /// anchor path — see `warm_path_costs_delta_j_hashes`).
@@ -483,18 +414,26 @@ impl MuTeslaVerifier {
     /// Process a received beacon at (loosely synchronized) local time
     /// `now_us`.
     ///
-    /// On success, returns the beacon from interval `j − 1` if one was
-    /// buffered and is now authenticated. The *current* beacon is buffered
-    /// and will be released by the next call.
+    /// On success, returns the interval of the buffered beacon (usually
+    /// `j − 1`) if one was buffered and is now authenticated. The *current*
+    /// beacon is buffered and will be released by the next call.
     ///
     /// On failure the verifier state is unchanged (the offending beacon is
-    /// simply discarded, per the paper).
+    /// simply discarded, per the paper), except on
+    /// [`VerifyError::PreviousBeaconForged`]: the disclosed key was valid,
+    /// so it is cached, and the current beacon replaces the forged one in
+    /// the buffer. A payload longer than 56 bytes is refused before any
+    /// check.
     pub fn observe(
         &mut self,
         payload: &[u8],
         auth: &BeaconAuth,
         now_us: f64,
-    ) -> Result<Option<AuthenticatedBeacon>, VerifyError> {
+    ) -> Result<Option<u32>, VerifyError> {
+        if payload.len() > MAX_VERIFIED_PAYLOAD {
+            return Err(VerifyError::PayloadTooLong { len: payload.len() });
+        }
+
         // Check 1: the interval index must correspond to the current time
         // interval (counters replay of old beacons).
         let current = self.schedule.interval_at(now_us);
@@ -545,39 +484,50 @@ impl MuTeslaVerifier {
         // disclosure by hashing down the one-way chain,
         // `key(pj) = h^(key_interval − pj)(disclosed)` — µTESLA's standard
         // recovery from missed disclosures.
-        let released = match self.pending.take() {
-            Some((pj, ppayload, pmac)) if pj <= key_interval => {
-                let distance = (key_interval - pj) as usize;
+        let released = match &self.pending {
+            Some(p) if p.interval <= key_interval => {
+                let distance = (key_interval - p.interval) as usize;
                 self.hashes += distance as u64;
                 let key = if distance == 0 {
                     auth.disclosed
                 } else {
                     chain_step_n(&auth.disclosed, distance)
                 };
-                let expect = mac_beacon(&key, &ppayload, pj);
-                let mac_ok = mac_eq(&expect, &pmac);
+                let expect = mac_beacon(&key, &p.payload[..p.len], p.interval);
+                let mac_ok = mac_eq(&expect, &p.mac);
                 #[cfg(feature = "mutation-hooks")]
                 let mac_ok = mac_ok || mutation::accept_unverified_keys();
-                if mac_ok {
-                    Some(AuthenticatedBeacon {
-                        interval: pj,
-                        payload: ppayload,
-                    })
-                } else {
+                if !mac_ok {
                     // Buffer the fresh beacon before reporting: the forged
                     // previous beacon must not block future progress.
-                    self.pending = Some((auth.interval, PayloadBuf::from(payload), auth.mac));
+                    self.buffer(payload, auth);
                     telemetry::count!("mutesla.verify.forged_prev");
                     return Err(VerifyError::PreviousBeaconForged);
                 }
+                Some(p.interval)
             }
             // Missed or absent previous beacon: nothing to release.
             _ => None,
         };
 
-        self.pending = Some((auth.interval, PayloadBuf::from(payload), auth.mac));
+        self.buffer(payload, auth);
         telemetry::count!("mutesla.verify.ok");
         Ok(released)
+    }
+
+    /// Buffer `payload` (at most `MAX_VERIFIED_PAYLOAD` bytes) and its MAC
+    /// in place of any beacon buffered before.
+    fn buffer(&mut self, payload: &[u8], auth: &BeaconAuth) {
+        let p = self.pending.get_or_insert(PendingBeacon {
+            interval: auth.interval,
+            len: 0,
+            payload: [0u8; MAX_VERIFIED_PAYLOAD],
+            mac: auth.mac,
+        });
+        p.interval = auth.interval;
+        p.len = payload.len();
+        p.payload[..payload.len()].copy_from_slice(payload);
+        p.mac = auth.mac;
     }
 
     /// The receiver's current cached authenticated chain element, if any.
@@ -657,11 +607,7 @@ mod tests {
             }
         }
         // Beacons 1..=9 are authenticated (each released by its successor).
-        assert_eq!(released.len(), 9);
-        for (i, b) in released.iter().enumerate() {
-            assert_eq!(b.interval as usize, i + 1);
-            assert_eq!(b.payload, format!("beacon-{}", i + 1).into_bytes());
-        }
+        assert_eq!(released, (1..=9).collect::<Vec<u32>>());
         assert!(verifier.has_pending());
     }
 
@@ -760,13 +706,7 @@ mod tests {
         let out = verifier
             .observe(b"third", &auth3, sched.expected_emission_us(3))
             .unwrap();
-        assert_eq!(
-            out,
-            Some(AuthenticatedBeacon {
-                interval: 2,
-                payload: b"second".to_vec().into()
-            })
-        );
+        assert_eq!(out, Some(2));
     }
 
     #[test]
@@ -790,27 +730,14 @@ mod tests {
         let out = verifier
             .observe(&p5, &a5, sched.expected_emission_us(5))
             .unwrap();
-        assert_eq!(
-            out,
-            Some(AuthenticatedBeacon {
-                interval: 1,
-                payload: p1.into()
-            }),
-            "lost disclosure recovered from a later one"
-        );
+        assert_eq!(out, Some(1), "lost disclosure recovered from a later one");
 
         let p6 = b"six".to_vec();
         let a6 = signer.sign(&p6, 6);
         let out = verifier
             .observe(&p6, &a6, sched.expected_emission_us(6))
             .unwrap();
-        assert_eq!(
-            out,
-            Some(AuthenticatedBeacon {
-                interval: 5,
-                payload: p5.into()
-            })
-        );
+        assert_eq!(out, Some(5));
     }
 
     #[test]
@@ -844,10 +771,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             out,
-            Some(AuthenticatedBeacon {
-                interval: 1,
-                payload: p1.into()
-            }),
+            Some(1),
             "beacon 1 authenticated across the corrupted disclosure"
         );
     }
@@ -916,7 +840,72 @@ mod tests {
         let out = verifier
             .observe(&p2, &a2, sched.expected_emission_us(2))
             .unwrap();
-        assert_eq!(out.unwrap().payload, p1);
+        assert_eq!(out, Some(1));
+    }
+
+    #[test]
+    fn longest_verified_payload_is_buffered_and_released() {
+        let sched = schedule(50);
+        let mut signer = MuTeslaSigner::new(seed(16), sched);
+        let mut verifier = MuTeslaVerifier::new(signer.anchor(), sched);
+        let p1 = [0x5a; MAX_VERIFIED_PAYLOAD];
+        let a1 = signer.sign(&p1, 1);
+        assert_eq!(
+            verifier.observe(&p1, &a1, sched.expected_emission_us(1)),
+            Ok(None)
+        );
+        assert!(verifier.has_pending());
+        let p2 = [0xa5; MAX_VERIFIED_PAYLOAD];
+        let a2 = signer.sign(&p2, 2);
+        assert_eq!(
+            verifier.observe(&p2, &a2, sched.expected_emission_us(2)),
+            Ok(Some(1))
+        );
+        // The 56-byte buffer is checked, not just released: a tampered last
+        // byte is caught one interval later.
+        let mut p3 = [0x33; MAX_VERIFIED_PAYLOAD];
+        let a3 = signer.sign(&p3, 3);
+        p3[MAX_VERIFIED_PAYLOAD - 1] ^= 1;
+        assert_eq!(
+            verifier.observe(&p3, &a3, sched.expected_emission_us(3)),
+            Ok(Some(2))
+        );
+        let a4 = signer.sign(b"four", 4);
+        assert_eq!(
+            verifier.observe(b"four", &a4, sched.expected_emission_us(4)),
+            Err(VerifyError::PreviousBeaconForged)
+        );
+    }
+
+    #[test]
+    fn longer_payload_is_refused_and_leaves_state_unchanged() {
+        let sched = schedule(50);
+        let mut signer = MuTeslaSigner::new(seed(17), sched);
+        let mut verifier = MuTeslaVerifier::new(signer.anchor(), sched);
+        for j in 1..=2usize {
+            let a = signer.sign(b"p", j);
+            verifier
+                .observe(b"p", &a, sched.expected_emission_us(j))
+                .unwrap();
+        }
+        let (pending, cached) = (verifier.has_pending(), verifier.cached_key());
+        let long = [0u8; MAX_VERIFIED_PAYLOAD + 1];
+        let a3 = signer.sign(&long, 3);
+        assert_eq!(
+            verifier.observe(&long, &a3, sched.expected_emission_us(3)),
+            Err(VerifyError::PayloadTooLong {
+                len: MAX_VERIFIED_PAYLOAD + 1
+            })
+        );
+        assert_eq!(verifier.has_pending(), pending);
+        assert_eq!(verifier.cached_key(), cached);
+        // The refused beacon left no trace: the genuine interval-3 beacon
+        // still releases beacon 2.
+        let a3 = signer.sign(b"p", 3);
+        assert_eq!(
+            verifier.observe(b"p", &a3, sched.expected_emission_us(3)),
+            Ok(Some(2))
+        );
     }
 
     #[test]

@@ -102,6 +102,53 @@ struct PendingObs {
     ts_ref_us: f64,
 }
 
+/// A first-in first-out queue of at most `N` entries, held inline so a
+/// station's receive state needs no heap buffer. Reads go through the
+/// slice of live entries, oldest first.
+struct InlineFifo<T: Copy, const N: usize> {
+    items: [T; N],
+    len: usize,
+}
+
+impl<T: Copy, const N: usize> InlineFifo<T, N> {
+    /// An empty queue; `fill` only initializes the unused slots.
+    fn new(fill: T) -> Self {
+        InlineFifo {
+            items: [fill; N],
+            len: 0,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Append `item`, evicting the oldest entry when the queue is full.
+    fn push_evicting(&mut self, item: T) {
+        if self.len == N {
+            self.items.copy_within(1.., 0);
+            self.len -= 1;
+        }
+        self.items[self.len] = item;
+        self.len += 1;
+    }
+
+    /// Remove and return the entry at `i` (0 = oldest).
+    fn remove(&mut self, i: usize) -> T {
+        let item = self[i];
+        self.items.copy_within(i + 1..self.len, i);
+        self.len -= 1;
+        item
+    }
+}
+
+impl<T: Copy, const N: usize> std::ops::Deref for InlineFifo<T, N> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.items[..self.len]
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Phase {
     /// Pre-synchronization scan (Sec. 3.3 "coarse synchronization phase").
@@ -144,8 +191,10 @@ pub struct SstspNode {
     /// assumption or relay duty); node initiation only draws the seed and
     /// registers a deferred anchor, so a station that never transmits
     /// never pays its chain walk. Tests that skip `init` fall back to
-    /// seed-drawing at first reference assumption.
-    signer: Option<MuTeslaSigner>,
+    /// seed-drawing at first reference assumption. Boxed, because few
+    /// stations ever sign: inline it would add 152 bytes to every
+    /// station's state, which the per-BP sweep over all stations pays for.
+    signer: Option<Box<MuTeslaSigner>>,
     /// The chain seed drawn at initiation, pending signer construction.
     chain_seed: Option<ChainElement>,
     ref_src: Option<NodeId>,
@@ -170,8 +219,12 @@ pub struct SstspNode {
     /// synchronization phase"); the lock engages once the observed
     /// timestamp error first drops under δ/2.
     guard_locked: bool,
-    pending: VecDeque<PendingObs>,
-    samples: VecDeque<SyncSample>,
+    /// Observations awaiting their interval's key; the oldest is dropped
+    /// past four.
+    pending: InlineFifo<PendingObs, 4>,
+    /// The last two authenticated observations, oldest first: the inputs
+    /// of equations (2)–(5).
+    samples: InlineFifo<SyncSample, 2>,
     // Per-BP flags.
     saw_beacon: bool,
     tx_clean: bool,
@@ -232,8 +285,15 @@ impl SstspNode {
             verifier: None,
             verifier_cache: Vec::new(),
             guard_locked: false,
-            pending: VecDeque::with_capacity(4),
-            samples: VecDeque::with_capacity(2),
+            pending: InlineFifo::new(PendingObs {
+                interval: 0,
+                local_rx_us: 0.0,
+                ts_ref_us: 0.0,
+            }),
+            samples: InlineFifo::new(SyncSample {
+                local_us: 0.0,
+                ref_us: 0.0,
+            }),
             saw_beacon: false,
             tx_clean: false,
             tx_collided: false,
@@ -446,7 +506,7 @@ impl SstspNode {
             let seed = self.chain_seed.take().expect("seed drawn above");
             let signer = MuTeslaSigner::new(seed, Self::schedule(ctx));
             ctx.anchors.publish(ctx.id, signer.anchor());
-            self.signer = Some(signer);
+            self.signer = Some(Box::new(signer));
         }
     }
 
@@ -796,19 +856,11 @@ impl SstspNode {
         }
 
         // Promote the observation whose interval just got authenticated,
-        // in steady state the oldest one pending. Checking the front first
-        // spares the out-of-line search on nearly every accept.
-        if let Some(ab) = released {
-            let pos = match self.pending.front() {
-                Some(p) if p.interval == ab.interval => Some(0),
-                _ => self.pending.iter().position(|p| p.interval == ab.interval),
-            };
-            if let Some(pos) = pos {
-                let obs = self.pending.remove(pos).expect("position valid");
-                if self.samples.len() == 2 {
-                    self.samples.pop_front();
-                }
-                self.samples.push_back(SyncSample {
+        // in steady state the oldest one pending.
+        if let Some(interval) = released {
+            if let Some(pos) = self.pending.iter().position(|p| p.interval == interval) {
+                let obs = self.pending.remove(pos);
+                self.samples.push_evicting(SyncSample {
                     local_us: obs.local_rx_us,
                     ref_us: obs.ts_ref_us,
                 });
@@ -816,10 +868,7 @@ impl SstspNode {
         }
 
         // Buffer the current beacon's observation until its key discloses.
-        if self.pending.len() >= 4 {
-            self.pending.pop_front();
-        }
-        self.pending.push_back(PendingObs {
+        self.pending.push_evicting(PendingObs {
             interval: auth.interval,
             local_rx_us: rx.local_rx_us,
             ts_ref_us: ts_ref,

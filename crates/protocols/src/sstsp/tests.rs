@@ -448,6 +448,23 @@ fn adjusted_clock_never_jumps() {
     }
 }
 
+/// The receive queues' discipline: a full queue drops its oldest entry,
+/// and a removal keeps the others in arrival order.
+#[test]
+fn inline_fifo_evicts_the_oldest_and_keeps_order() {
+    let mut q: InlineFifo<u32, 4> = InlineFifo::new(0);
+    for v in 1..=5 {
+        q.push_evicting(v);
+    }
+    assert_eq!(*q, [2, 3, 4, 5]);
+    assert_eq!(q.remove(1), 3);
+    assert_eq!(*q, [2, 4, 5]);
+    q.push_evicting(6);
+    assert_eq!(*q, [2, 4, 5, 6]);
+    q.clear();
+    assert!(q.is_empty());
+}
+
 #[test]
 fn stats_default_is_zeroed() {
     let s = SstspStats::default();

@@ -11,8 +11,12 @@
 # A workload fails when the change loses at least LOSSES_TO_FAIL of the
 # PAIRS pairs on bp_per_s (ties count for neither side) and its median
 # trails the base's by more than the base's interquartile range (Tukey
-# hinges): the benchmark's rule for claiming a gain, inverted. Any run
-# that exits non-zero or reports `"correct": false` fails the gate. Last, a
+# hinges): the benchmark's rule for claiming a gain, inverted. It also
+# fails when the change's median peak_heap_mb, read from the same result
+# lines, exceeds the base's by more than that metric's relative bound in
+# BENCHMARK.json (the benchmark's own rule; the figure is exact, identical
+# across repetitions). Any run that exits non-zero or reports
+# `"correct": false` fails the gate. Last, a
 # traced run of the change must keep telemetry recording overhead within
 # OVERHEAD_BUDGET_PCT and the invariant checker's overhead on a plain run
 # (`core.checker_overhead_pct`, the cost of every `run_checked` in
@@ -32,6 +36,12 @@ readonly OVERHEAD_BUDGET_PCT=10
 readonly CHECKER_BUDGET_PCT=25
 readonly SEED=2006
 readonly WORKLOADS="paper_fig4 large_n5000"
+HEAP_BOUND=$(sed -n 's/.*"name": "peak_heap_mb".*"bound": \([0-9.]*\).*/\1/p' BENCHMARK.json)
+if [ -z "$HEAP_BOUND" ]; then
+    echo "ERROR: BENCHMARK.json declares no bound for peak_heap_mb" >&2
+    exit 1
+fi
+readonly HEAP_BOUND
 
 BASE=$(mktemp -d)
 trap 'rm -rf "$BASE"' EXIT
@@ -80,10 +90,14 @@ metric() {
     printf '%s\n' "$value"
 }
 
-bp_per_s() {
-    local line
+# bp_per_s and peak_heap_mb of one run of benchmark $1 with the remaining
+# flags, on one line.
+bp_and_heap() {
+    local line bp heap
     line=$(result "$@") || return 1
-    metric "$line" bp_per_s
+    bp=$(metric "$line" bp_per_s) || return 1
+    heap=$(metric "$line" peak_heap_mb) || return 1
+    printf '%s %s\n' "$bp" "$heap"
 }
 
 failed=0
@@ -93,18 +107,22 @@ for workload in $WORKLOADS; do
     for ((i = 1; i <= PAIRS; i++)); do
         flags=(--workload "$workload" --seed "$SEED" --seconds 1)
         if ((i % 2)); then
-            base=$(bp_per_s "$BASE_BIN" "${flags[@]}")
-            change=$(bp_per_s "$CHANGE_BIN" "${flags[@]}")
+            base=$(bp_and_heap "$BASE_BIN" "${flags[@]}")
+            change=$(bp_and_heap "$CHANGE_BIN" "${flags[@]}")
         else
-            change=$(bp_per_s "$CHANGE_BIN" "${flags[@]}")
-            base=$(bp_per_s "$BASE_BIN" "${flags[@]}")
+            change=$(bp_and_heap "$CHANGE_BIN" "${flags[@]}")
+            base=$(bp_and_heap "$BASE_BIN" "${flags[@]}")
         fi
-        printf '      pair %d: base %.0f change %.0f BP/s\n' "$i" "$base" "$change"
+        read -r base_bp base_heap <<<"$base"
+        read -r change_bp change_heap <<<"$change"
+        printf '      pair %d: base %.0f change %.0f BP/s, peak heap base %s change %s MiB\n' \
+            "$i" "$base_bp" "$change_bp" "$base_heap" "$change_heap"
         pairs+="$base $change"$'\n'
     done
     # Medians, and the base's Tukey hinges: the medians of the lower and
-    # upper halves of its sorted values (the 3rd and 8th of 10).
-    verdict=$(printf '%s' "$pairs" | awk -v need="$LOSSES_TO_FAIL" '
+    # upper halves of its sorted values (the 3rd and 8th of 10). Each line
+    # holds the base's BP/s and heap, then the change's.
+    verdict=$(printf '%s' "$pairs" | awk -v need="$LOSSES_TO_FAIL" -v bound="$HEAP_BOUND" '
         function isort(a, n,    i, j, t) {
             for (i = 2; i <= n; i++) {
                 t = a[i]
@@ -116,18 +134,28 @@ for workload in $WORKLOADS; do
             m = hi - lo + 1
             return m % 2 ? a[lo + (m - 1) / 2] : (a[lo + m / 2 - 1] + a[lo + m / 2]) / 2
         }
-        { b[NR] = $1 + 0; c[NR] = $2 + 0; if (c[NR] < b[NR]) losses++ }
+        {
+            b[NR] = $1 + 0; bh[NR] = $2 + 0; c[NR] = $3 + 0; ch[NR] = $4 + 0
+            if (c[NR] < b[NR]) losses++
+        }
         END {
             n = NR
             isort(b, n)
             isort(c, n)
+            isort(bh, n)
+            isort(ch, n)
             h = int((n + 1) / 2)
             iqr = med(b, n - h + 1, n) - med(b, 1, h)
             mb = med(b, 1, n)
             mc = med(c, 1, n)
-            fail = (losses + 0 >= need) && (mb - mc > iqr)
-            printf "%s lost %d/%d pairs; median base %.0f change %.0f BP/s (%+.1f %%); base IQR %.0f\n",
-                fail ? "FAIL" : "ok", losses, n, mb, mc, 100 * (mc - mb) / mb, iqr
+            mbh = med(bh, 1, n)
+            mch = med(ch, 1, n)
+            slower = (losses + 0 >= need) && (mb - mc > iqr)
+            heavier = mch > mbh * (1 + bound)
+            printf "%s lost %d/%d pairs; median base %.0f change %.0f BP/s (%+.1f %%); base IQR %.0f; " \
+                "peak heap base %.6f change %.6f MiB (%+.2f %%, bound %+.0f %%)%s\n",
+                slower || heavier ? "FAIL" : "ok", losses, n, mb, mc, 100 * (mc - mb) / mb, iqr,
+                mbh, mch, 100 * (mch - mbh) / mbh, 100 * bound, heavier ? " over the heap bound" : ""
         }')
     echo "    $workload: $verdict"
     if [[ $verdict == FAIL* ]]; then
@@ -135,7 +163,8 @@ for workload in $WORKLOADS; do
     fi
 done
 if [ "$failed" -ne 0 ]; then
-    echo "ERROR: the working tree is slower than HEAD (lost >= $LOSSES_TO_FAIL of $PAIRS pairs by more than the base IQR)" >&2
+    echo "ERROR: the working tree is slower than HEAD (lost >= $LOSSES_TO_FAIL of $PAIRS pairs by" \
+        "more than the base IQR) or its peak heap exceeds HEAD's by more than $HEAP_BOUND" >&2
     exit 1
 fi
 
