@@ -9,6 +9,7 @@
 //! The one-way function is SHA-256 truncated to 128 bits (matching the
 //! paper's 128-bit hash values and the 92-byte secured beacon size).
 
+use crate::memo::Memo;
 use crate::sha256::sha256;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -28,16 +29,26 @@ pub fn chain_step(x: &ChainElement) -> ChainElement {
     out
 }
 
+/// A memoized walk: `k` one-way steps from `input` reach `output`. A walk
+/// of `k = 0` steps is never memoized, so it marks an empty entry.
+#[derive(Clone, Copy)]
+struct Walk {
+    input: ChainElement,
+    k: usize,
+    output: ChainElement,
+}
+
 thread_local! {
-    /// Single-entry memo for [`chain_step_n`]. In the engine's receiver loop
-    /// every station verifies the *same* disclosed key against the *same*
-    /// cached element, so consecutive calls repeat one `(input, k)` pair
-    /// n−1 times per beacon. The function is pure, so serving the cached
-    /// output is bit-identical to recomputing it; thread-local storage keeps
-    /// parallel sweeps race-free. A hit is compared where the entry sits
-    /// and copies out only the output.
-    static STEP_MEMO: RefCell<Option<(ChainElement, usize, ChainElement)>> =
-        const { RefCell::new(None) };
+    /// Memo for [`chain_step_n`]: every receiver of a beacon validates the
+    /// same disclosed key against the same cached element or anchor (see
+    /// the `memo` module for why it holds four walks).
+    static STEP_MEMO: RefCell<Memo<Walk>> = const {
+        RefCell::new(Memo::new(Walk {
+            input: [0; CHAIN_ELEMENT_LEN],
+            k: 0,
+            output: [0; CHAIN_ELEMENT_LEN],
+        }))
+    };
 }
 
 /// Apply the one-way function `k` times.
@@ -45,10 +56,8 @@ pub fn chain_step_n(x: &ChainElement, k: usize) -> ChainElement {
     if k == 0 {
         return *x;
     }
-    let hit = STEP_MEMO.with_borrow(|memo| match memo {
-        Some((mx, mk, out)) if *mk == k && mx == x => Some(*out),
-        _ => None,
-    });
+    let hit = STEP_MEMO
+        .with_borrow(|memo| memo.find(|w| (w.k == k && w.input == *x).then_some(w.output)));
     if let Some(out) = hit {
         return out;
     }
@@ -56,8 +65,20 @@ pub fn chain_step_n(x: &ChainElement, k: usize) -> ChainElement {
     for _ in 0..k {
         v = chain_step(&v);
     }
-    STEP_MEMO.set(Some((*x, k, v)));
+    STEP_MEMO.with_borrow_mut(|memo| {
+        *memo.victim() = Walk {
+            input: *x,
+            k,
+            output: v,
+        }
+    });
     v
+}
+
+/// Walks [`chain_step_n`] has computed on this thread so far.
+#[cfg(test)]
+pub(crate) fn walks_computed() -> u64 {
+    STEP_MEMO.with_borrow(|memo| memo.misses())
 }
 
 /// A fully materialized hash chain (store-all strategy).

@@ -32,6 +32,7 @@
 pub mod chain;
 pub mod fractal;
 pub mod hmac;
+mod memo;
 pub mod mu_tesla;
 pub mod sha256;
 

@@ -21,6 +21,7 @@
 use crate::chain::{chain_step_n, ChainElement, HashChain};
 use crate::fractal::FractalTraverser;
 use crate::hmac::{hmac_sha256_128, mac_eq, Mac128};
+use crate::memo::Memo;
 use serde::{Deserialize, Serialize};
 use sstsp_telemetry as telemetry;
 use std::cell::RefCell;
@@ -101,9 +102,15 @@ impl IntervalSchedule {
     /// Interval `j` is centred on its expected emission time `T₀ + j·BP`,
     /// extending BP/2 on either side.
     pub fn interval_at(&self, time_us: f64) -> Option<usize> {
-        let j = ((time_us - self.t0_us) / self.bp_us).round();
-        if j >= 1.0 && j <= self.n as f64 {
-            Some(j as usize)
+        // `x.round()` (half away from zero) lies in `1..=n` exactly when
+        // `x` lies in `[0.5, n + 0.5)`, and there `(x + 0.5) as usize` is
+        // `x.round()`: `x + 0.5` stays below the next integer whenever `x`
+        // does below its half-way point. This keeps libm's `round` call,
+        // which a target without SSE4.1 cannot inline, off every delivery.
+        // NaN and ±∞ fail the range test, as they fail the rounded one.
+        let x = (time_us - self.t0_us) / self.bp_us;
+        if x >= 0.5 && x < self.n as f64 + 0.5 {
+            Some((x + 0.5) as usize)
         } else {
             None
         }
@@ -136,12 +143,11 @@ const MAC_STACK: usize = 60;
 /// authenticate 32 (`BeaconBody::auth_bytes`).
 const MAX_VERIFIED_PAYLOAD: usize = MAC_STACK - 4;
 
-/// Single-entry memo for [`mac_beacon`] over beacon-sized inputs. Every
-/// receiver of a broadcast beacon recomputes the *same* HMAC over the same
-/// `(key, payload, interval)` triple — n−1 identical calls per released
-/// beacon. The function is pure, so the cached MAC is bit-identical to a
-/// recompute; thread-local storage keeps parallel sweeps race-free.
-struct MacMemo {
+/// A memoized beacon MAC: `HMAC_key(payload[..len], interval)`. No payload
+/// is longer than [`MAX_VERIFIED_PAYLOAD`], so `len = usize::MAX` marks an
+/// empty entry.
+#[derive(Clone, Copy)]
+struct MacEntry {
     key: ChainElement,
     len: usize,
     payload: [u8; MAX_VERIFIED_PAYLOAD],
@@ -150,8 +156,26 @@ struct MacMemo {
 }
 
 thread_local! {
-    /// Compared where it sits: a hit copies out only the MAC.
-    static MAC_MEMO: RefCell<Option<MacMemo>> = const { RefCell::new(None) };
+    /// Memo for [`mac_beacon`] over beacon-sized inputs: every receiver of
+    /// a broadcast beacon recomputes the same MAC over the same
+    /// `(key, payload, interval)`, which the reference computed one BP
+    /// earlier when it signed (see the `memo` module for why it holds
+    /// four MACs).
+    static MAC_MEMO: RefCell<Memo<MacEntry>> = const {
+        RefCell::new(Memo::new(MacEntry {
+            key: [0; 16],
+            len: usize::MAX,
+            payload: [0; MAX_VERIFIED_PAYLOAD],
+            interval: 0,
+            mac: [0; 16],
+        }))
+    };
+}
+
+/// MACs [`mac_beacon`] has computed through its memo on this thread.
+#[cfg(test)]
+fn macs_computed() -> u64 {
+    MAC_MEMO.with_borrow(|memo| memo.misses())
 }
 
 /// `HMAC_key(B, j)`: the MAC input is the payload followed by the
@@ -166,16 +190,14 @@ fn mac_beacon(key: &ChainElement, payload: &[u8], interval: u32) -> Mac128 {
         msg.extend_from_slice(&interval.to_le_bytes());
         return hmac_sha256_128(key, &msg);
     }
-    let hit = MAC_MEMO.with_borrow(|memo| match memo {
-        Some(m)
-            if m.interval == interval
+    let hit = MAC_MEMO.with_borrow(|memo| {
+        memo.find(|m| {
+            (m.interval == interval
                 && m.len == len
                 && m.key == *key
-                && m.payload[..len] == *payload =>
-        {
-            Some(m.mac)
-        }
-        _ => None,
+                && m.payload[..len] == *payload)
+                .then_some(m.mac)
+        })
     });
     if let Some(mac) = hit {
         return mac;
@@ -184,15 +206,14 @@ fn mac_beacon(key: &ChainElement, payload: &[u8], interval: u32) -> Mac128 {
     msg[..len].copy_from_slice(payload);
     msg[len..len + 4].copy_from_slice(&interval.to_le_bytes());
     let mac = hmac_sha256_128(key, &msg[..len + 4]);
-    let mut kept = [0u8; MAX_VERIFIED_PAYLOAD];
-    kept[..len].copy_from_slice(payload);
-    MAC_MEMO.set(Some(MacMemo {
-        key: *key,
-        len,
-        payload: kept,
-        interval,
-        mac,
-    }));
+    MAC_MEMO.with_borrow_mut(|memo| {
+        let m = memo.victim();
+        m.key = *key;
+        m.len = len;
+        m.payload[..len].copy_from_slice(payload);
+        m.interval = interval;
+        m.mac = mac;
+    });
     mac
 }
 
@@ -225,18 +246,22 @@ const SIGNER_RECENT_WINDOW: usize = 32;
 /// for the paper's 10 100-interval chain), the signer drives a
 /// [`FractalTraverser`]: µTESLA consumes keys in exactly the traverser's
 /// emission order (`h^{n-1}, h^{n-2}, …`), so sequential signing costs
-/// `O(log n)` amortized hashes per interval against `O(log n)` pebbles. A
-/// small window of recently emitted elements serves repeat signatures for
-/// the same (or slightly older) interval; signing an interval that left the
-/// window recomputes from the seed without disturbing the traverser.
+/// `O(log n)` amortized hashes per interval against `O(log n)` pebbles.
+/// The traversal starts at the first signed interval: a station that
+/// becomes reference at interval `j` traverses only the sub-chain from that
+/// signature's disclosed element down, never the `j − 1` positions above
+/// it that it will not sign. A small window of recently emitted elements
+/// serves repeat signatures for the same (or slightly older) interval;
+/// signing an interval that left the window, or that lies above the
+/// sub-chain, recomputes from the seed without disturbing the traverser.
 pub struct MuTeslaSigner {
     seed: ChainElement,
     anchor: ChainElement,
     schedule: IntervalSchedule,
-    /// Built on the first signature. Every station publishes an anchor at
-    /// initiation but only the node that actually becomes reference signs,
-    /// so eager traversal setup would double the per-node initiation cost
-    /// for nothing.
+    /// Built on the first signature, say of interval `j`, over positions
+    /// `n − j + 1` (its disclosed element) down to the seed, so its setup
+    /// walk costs `n − j + 1` hashes rather than `n`, and its pebbles sit
+    /// where the signer will need them.
     traverser: Option<FractalTraverser>,
     /// Recently emitted elements, newest (lowest chain position) at the
     /// back: `(position, h^position(seed))`.
@@ -247,9 +272,11 @@ pub struct MuTeslaSigner {
 
 impl MuTeslaSigner {
     /// Build a signer from a seed; the chain length comes from the schedule.
-    /// Costs the `n` hashes of the anchor walk (which every station owes at
-    /// initiation anyway); traversal state is materialized lazily on first
-    /// signature.
+    /// Costs the `n` hashes of the anchor walk; traversal state is
+    /// materialized lazily on the first signature. A station that may never
+    /// sign need not build one: SSTSP publishes a deferred anchor at
+    /// initiation, which the first receiver that needs it walks, and builds
+    /// the signer only when the station first signs.
     pub fn new(seed: ChainElement, schedule: IntervalSchedule) -> Self {
         MuTeslaSigner {
             seed,
@@ -288,10 +315,13 @@ impl MuTeslaSigner {
         if let Some(&(_, v)) = self.recent.iter().rev().find(|(p, _)| *p == pos) {
             return v;
         }
+        // The first call asks for the first signature's key (position
+        // `n − j`); a traverser over `pos + 2` elements emits its disclosed
+        // element (`pos + 1`) first, then the key.
         let (seed, n) = (self.seed, self.schedule.n);
         let traverser = self
             .traverser
-            .get_or_insert_with(|| FractalTraverser::new(seed, n));
+            .get_or_insert_with(|| FractalTraverser::new(seed, (pos + 2).min(n)));
         // `remaining()` is the position the traverser will emit next, plus
         // one — so it emits `pos` iff `remaining() > pos`.
         if traverser.remaining() > pos {
@@ -306,7 +336,8 @@ impl MuTeslaSigner {
             }
             return value;
         }
-        // Consumed and evicted: rare backward jump beyond the window.
+        // Consumed and evicted, or above the traversed sub-chain: a rare
+        // backward jump beyond the window.
         self.fallback_hashes += pos as u64;
         chain_step_n(&self.seed, pos)
     }
@@ -1023,6 +1054,138 @@ mod tests {
     }
 
     #[test]
+    fn new_reference_traverses_only_the_chain_it_signs() {
+        // A station that becomes reference at interval 500 of 1000 walks
+        // the 501 positions from its first disclosed element down, not the
+        // whole chain, and its later signatures cost a few hashes each.
+        let (n, first) = (1000, 500);
+        let sched = schedule(n);
+        let chain = HashChain::generate(seed(21), n);
+        let mut signer = MuTeslaSigner::new(seed(21), sched);
+        let p = [0x11; 32];
+        assert_eq!(signer.sign(&p, first), sign_with_chain(&chain, &p, first));
+        let setup = signer.hash_count();
+        assert!(
+            setup <= (n - first + 2) as u64,
+            "first signature at interval {first} cost {setup} hashes"
+        );
+        for j in first + 1..=first + 100 {
+            let p = [j as u8; 32];
+            assert_eq!(signer.sign(&p, j), sign_with_chain(&chain, &p, j), "j={j}");
+        }
+        // Amortized: the traversal pays in bursts (up to ~log₂ n hashes).
+        let next = signer.hash_count() - setup;
+        assert!(
+            next <= 3 * 100,
+            "the next 100 signatures cost {next} hashes"
+        );
+        // Intervals above the traversed sub-chain are still signed right.
+        for j in [first - 1, first - 40, 1] {
+            assert_eq!(signer.sign(&p, j), sign_with_chain(&chain, &p, j), "j={j}");
+        }
+    }
+
+    /// Chain walks and MACs computed on this thread, for the memo tests.
+    fn computed() -> (u64, u64) {
+        (crate::chain::walks_computed(), macs_computed())
+    }
+
+    #[test]
+    fn new_reference_pays_each_walk_and_mac_once() {
+        // A station that was reference up to interval 300 becomes reference
+        // again at 600. Receivers that kept its retired verifier validate
+        // from interval 299's key (300 hashes); the others build a verifier
+        // and walk to the anchor (599). Interleaved, each walk is paid
+        // once, and the first beacon's MAC, computed when it was signed, is
+        // still memoized when the next beacon releases it.
+        let n = 1000;
+        let sched = schedule(n);
+        let chain = HashChain::generate(seed(19), n);
+        let anchor = chain.anchor();
+        let beacon = |j: usize| {
+            let p = [j as u8; 32];
+            (p, sign_with_chain(&chain, &p, j))
+        };
+        let (p, a) = beacon(300);
+        let retired: Vec<MuTeslaVerifier> = (0..4)
+            .map(|_| {
+                let mut v = MuTeslaVerifier::new(anchor, sched);
+                v.observe(&p, &a, sched.expected_emission_us(300)).unwrap();
+                v.clear_pending();
+                v
+            })
+            .collect();
+        let mut receivers: Vec<Option<MuTeslaVerifier>> =
+            retired.into_iter().flat_map(|v| [Some(v), None]).collect();
+
+        let before = computed();
+        let (p, a) = beacon(600);
+        for r in &mut receivers {
+            let v = r.get_or_insert_with(|| MuTeslaVerifier::new(anchor, sched));
+            assert_eq!(v.observe(&p, &a, sched.expected_emission_us(600)), Ok(None));
+        }
+        let (walks, macs) = computed();
+        assert_eq!(
+            walks - before.0,
+            2,
+            "two distinct walks validate beacon 600"
+        );
+        assert_eq!(macs - before.1, 1, "the signature's MAC only");
+
+        let before = computed();
+        let (p, a) = beacon(601);
+        for r in &mut receivers {
+            let v = r.as_mut().unwrap();
+            assert_eq!(
+                v.observe(&p, &a, sched.expected_emission_us(601)),
+                Ok(Some(600))
+            );
+        }
+        let (walks, macs) = computed();
+        assert_eq!(walks - before.0, 1, "one step validates beacon 601");
+        assert_eq!(macs - before.1, 1, "beacon 600's MAC is the memoized one");
+    }
+
+    #[test]
+    fn a_receiver_behind_by_a_lost_beacon_pays_nothing_extra() {
+        // Six receivers; in every BP one of them lost the previous beacon,
+        // so it validates two steps back and MACs the beacon before its
+        // peers'. Per BP: the signature's MAC, one walk of one step and one
+        // of two, all other calls served by the memos.
+        const R: usize = 6;
+        let n = 100;
+        let sched = schedule(n);
+        let chain = HashChain::generate(seed(20), n);
+        let mut receivers: Vec<MuTeslaVerifier> = (0..R)
+            .map(|_| MuTeslaVerifier::new(chain.anchor(), sched))
+            .collect();
+        for j in 1..=40usize {
+            let before = computed();
+            let p = [j as u8; 32];
+            let a = sign_with_chain(&chain, &p, j);
+            for (i, v) in receivers.iter_mut().enumerate() {
+                if (j + 1) % R == i {
+                    continue; // this receiver loses beacon j
+                }
+                let want = match j {
+                    1 => None,
+                    _ if j % R == i => Some(j as u32 - 2),
+                    _ => Some(j as u32 - 1),
+                };
+                let got = v.observe(&p, &a, sched.expected_emission_us(j));
+                if j > 3 {
+                    assert_eq!(got, Ok(want), "receiver {i}, interval {j}");
+                }
+            }
+            let (walks, macs) = computed();
+            if j > 3 {
+                assert_eq!(walks - before.0, 2, "interval {j}");
+                assert_eq!(macs - before.1, 1, "interval {j}");
+            }
+        }
+    }
+
+    #[test]
     fn clear_pending_drops_buffer_keeps_cache() {
         let sched = schedule(50);
         let mut signer = MuTeslaSigner::new(seed(13), sched);
@@ -1040,5 +1203,74 @@ mod tests {
         let a = signer.sign(b"p", 3);
         let out = v.observe(b"p", &a, sched.expected_emission_us(3)).unwrap();
         assert_eq!(out, None);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// `interval_at` written with libm's `round`, as it was.
+    fn interval_by_round(s: &IntervalSchedule, time_us: f64) -> Option<usize> {
+        let j = ((time_us - s.t0_us) / s.bp_us).round();
+        (j >= 1.0 && j <= s.n as f64).then_some(j as usize)
+    }
+
+    /// `x` moved `k` representable values away from zero (toward it for
+    /// a negative `k`).
+    fn nudge(x: f64, k: i64) -> f64 {
+        f64::from_bits((x.to_bits() as i64 + k) as u64)
+    }
+
+    #[test]
+    fn interval_at_matches_rounding_at_the_edges() {
+        for bp in [1.0, 100_000.0] {
+            let s = IntervalSchedule::new(0.0, bp, 10_100);
+            for t in [
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                0.0,
+                -0.0,
+                0.499_999_999_999_999_94 * bp,
+                0.5 * bp,
+                10_100.5 * bp,
+                nudge(10_100.5 * bp, -1),
+                f64::MAX,
+                f64::MIN_POSITIVE,
+            ] {
+                assert_eq!(s.interval_at(t), interval_by_round(&s, t), "t={t:e}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        /// The range test and truncation give what rounding gave: on times
+        /// spread over the schedule and past its ends, on every half-way
+        /// point of two schedules (where `time / bp` is exact) and the four
+        /// values either side of it, and on arbitrary bit patterns (NaN,
+        /// infinities and subnormals included).
+        #[test]
+        fn interval_at_matches_rounding(
+            n in 1usize..20_000,
+            t0 in prop_oneof![Just(0.0), -1e9..1e9f64],
+            bp in prop_oneof![Just(1.0), Just(100_000.0), 1e-3..1e7f64],
+            u in -0.1..1.1f64,
+            j in 0usize..20_002,
+            k in -4i64..=4,
+            exact_bp in prop_oneof![Just(1.0), Just(100_000.0)],
+            bits in any::<u64>(),
+        ) {
+            let s = IntervalSchedule::new(t0, bp, n);
+            let spread = t0 + u * (n as f64 + 1.0) * bp;
+            prop_assert_eq!(s.interval_at(spread), interval_by_round(&s, spread));
+            let arbitrary = f64::from_bits(bits);
+            prop_assert_eq!(s.interval_at(arbitrary), interval_by_round(&s, arbitrary));
+            let exact = IntervalSchedule::new(0.0, exact_bp, n);
+            let half_way = nudge((j as f64 - 0.5) * exact_bp, k);
+            prop_assert_eq!(exact.interval_at(half_way), interval_by_round(&exact, half_way));
+        }
     }
 }

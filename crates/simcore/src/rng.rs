@@ -81,24 +81,44 @@ impl RngStreams {
     }
 }
 
-/// A transparent [`RngCore`] wrapper that counts draws.
+/// u64 draws a [`CountingRng`] generates per refill: 256 bytes, four
+/// ChaCha blocks, which `ChaCha12Rng::fill_bytes` writes in one kernel call.
+const DRAWS_AHEAD: usize = 32;
+
+/// A u64 draw-ahead that counts the draws it serves.
 ///
-/// The wrapper forwards every call to the inner generator unchanged, so the
-/// produced stream is bit-identical to the unwrapped one — wrapping an
-/// engine RNG in telemetry instrumentation cannot perturb a run. Each of
-/// `next_u32` / `next_u64` / `fill_bytes` counts as one draw; the count is
-/// a cheap proxy for "how much randomness this actor consumed", useful for
-/// spotting draw-pattern drift between runs that should be identical.
+/// The engine's channel and jitter streams draw only u64s, one or two per
+/// delivery. This wrapper serves them from a buffer of 32 draws that one
+/// 256-byte `fill_bytes` of the inner generator refills, so the keystream
+/// is made four blocks per call instead of one. Where the inner
+/// generator's u64 draws are its bytes in order, as `ChaCha12Rng`'s are
+/// from a fresh stream, `next_u64` serves exactly the inner stream's u64s,
+/// so wrapping an engine RNG cannot perturb a run. `next_u32` and
+/// `fill_bytes` are served from u64 draws too (the low half of one, the
+/// bytes of as many as needed), which is *not* the inner stream's
+/// `next_u32` or `fill_bytes`. Every call counts as one draw, whatever the
+/// buffer generated ahead; the count is a cheap proxy for "how much
+/// randomness this actor consumed", useful for spotting draw-pattern drift
+/// between runs that should be identical.
 #[derive(Debug, Clone)]
 pub struct CountingRng<R> {
     inner: R,
+    /// Draws generated ahead, as little-endian bytes; the draws from
+    /// `next` on are still to be served.
+    ahead: [u8; DRAWS_AHEAD * 8],
+    next: usize,
     draws: u64,
 }
 
 impl<R: RngCore> CountingRng<R> {
     /// Wrap `inner`, starting the draw count at zero.
     pub fn new(inner: R) -> Self {
-        CountingRng { inner, draws: 0 }
+        CountingRng {
+            inner,
+            ahead: [0; DRAWS_AHEAD * 8],
+            next: DRAWS_AHEAD,
+            draws: 0,
+        }
     }
 
     /// Number of RNG calls made through this wrapper so far.
@@ -106,9 +126,16 @@ impl<R: RngCore> CountingRng<R> {
         self.draws
     }
 
-    /// Unwrap, returning the inner generator.
-    pub fn into_inner(self) -> R {
-        self.inner
+    /// The next u64 of the inner stream, uncounted.
+    #[inline]
+    fn take(&mut self) -> u64 {
+        if self.next == DRAWS_AHEAD {
+            self.inner.fill_bytes(&mut self.ahead);
+            self.next = 0;
+        }
+        let at = self.next * 8;
+        self.next += 1;
+        u64::from_le_bytes(self.ahead[at..at + 8].try_into().expect("8 bytes"))
     }
 }
 
@@ -116,19 +143,21 @@ impl<R: RngCore> RngCore for CountingRng<R> {
     #[inline]
     fn next_u32(&mut self) -> u32 {
         self.draws += 1;
-        self.inner.next_u32()
+        self.take() as u32
     }
 
     #[inline]
     fn next_u64(&mut self) -> u64 {
         self.draws += 1;
-        self.inner.next_u64()
+        self.take()
     }
 
     #[inline]
     fn fill_bytes(&mut self, dest: &mut [u8]) {
         self.draws += 1;
-        self.inner.fill_bytes(dest);
+        for chunk in dest.chunks_mut(8) {
+            chunk.copy_from_slice(&self.take().to_le_bytes()[..chunk.len()]);
+        }
     }
 }
 
@@ -184,23 +213,31 @@ mod tests {
 
     #[test]
     fn counting_rng_is_transparent_and_counts() {
+        // u64 draws through the wrapper are the bare stream's, across more
+        // than three refills of its draw-ahead, and each counts once.
         let f = RngStreams::new(7);
         let mut plain = f.stream(StreamDomain::ChannelError, 0);
         let mut counted = CountingRng::new(f.stream(StreamDomain::ChannelError, 0));
         assert_eq!(counted.draws(), 0);
-        let a: Vec<u64> = (0..16).map(|_| plain.random()).collect();
-        let b: Vec<u64> = (0..16).map(|_| counted.random()).collect();
+        let draws = 3 * DRAWS_AHEAD + 5;
+        let a: Vec<u64> = (0..draws).map(|_| plain.next_u64()).collect();
+        let b: Vec<u64> = (0..draws).map(|_| counted.next_u64()).collect();
         assert_eq!(a, b, "wrapping must not change the stream");
-        assert_eq!(counted.draws(), 16);
-        let mut buf = [0u8; 24];
+        assert_eq!(counted.draws(), draws as u64);
+        // The engine's draws: f64s from ranges, one u64 each.
+        let x: Vec<f64> = (0..40).map(|_| plain.random_range(0.0..=0.5)).collect();
+        let y: Vec<f64> = (0..40).map(|_| counted.random_range(0.0..=0.5)).collect();
+        assert_eq!(x, y);
+        assert_eq!(counted.draws(), draws as u64 + 40);
+        // Other calls are served from u64 draws, one draw each.
+        let next = plain.next_u64();
+        assert_eq!(counted.next_u32(), next as u32);
+        let mut buf = [0u8; 12];
         counted.fill_bytes(&mut buf);
-        let _ = counted.next_u32();
-        assert_eq!(counted.draws(), 18);
-        // The unwrapped inner generator continues the same stream.
-        let mut inner = counted.into_inner();
-        plain.fill_bytes(&mut [0u8; 24]);
-        let _ = plain.next_u32();
-        assert_eq!(inner.next_u64(), plain.next_u64());
+        assert_eq!(buf[..8], plain.next_u64().to_le_bytes());
+        assert_eq!(buf[8..], plain.next_u64().to_le_bytes()[..4]);
+        assert_eq!(counted.draws(), draws as u64 + 42);
+        assert_eq!(counted.next_u64(), plain.next_u64());
     }
 
     #[test]

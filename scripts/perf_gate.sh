@@ -16,16 +16,19 @@
 # lines, exceeds the base's by more than that metric's relative bound in
 # BENCHMARK.json (the benchmark's own rule; the figure is exact, identical
 # across repetitions). Any run that exits non-zero or reports
-# `"correct": false` fails the gate. Last, a
-# traced run of the change must keep telemetry recording overhead within
-# OVERHEAD_BUDGET_PCT and the invariant checker's overhead on a plain run
-# (`core.checker_overhead_pct`, the cost of every `run_checked` in
-# paper_repro) within CHECKER_BUDGET_PCT. A budget exceeded gets one more
-# traced run, and fails only if that one exceeds it too, since host noise
-# can push a single estimate past it and the regressions this check exists
-# for cost tens of percent.
+# `"correct": false` fails the gate. Last, one traced run of each binary:
+# the change's must keep telemetry recording overhead within
+# OVERHEAD_BUDGET_PCT, and the invariant checker's own cost (the cost of
+# every `run_checked` in paper_repro) must not exceed HEAD's by more than
+# CHECKER_BUDGET_PCT. That cost is judged in µs per BP, the traced
+# `core.checker_overhead_pct` (a share of a plain paper_fig4 run) times the
+# binary's plain µs/BP (the median of its paper_fig4 pairs), so a faster
+# plain run does not read as a dearer checker. A budget exceeded gets one
+# more traced run of each binary, and fails only if that one exceeds it
+# too, since host noise can push a single estimate past it and the
+# regressions this check exists for cost tens of percent.
 #
-# Usage: scripts/perf_gate.sh   (takes about 6 minutes on a 2-vCPU host)
+# Usage: scripts/perf_gate.sh   (takes about 3 minutes on a 2-vCPU host)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -156,7 +159,14 @@ for workload in $WORKLOADS; do
                 "peak heap base %.6f change %.6f MiB (%+.2f %%, bound %+.0f %%)%s\n",
                 slower || heavier ? "FAIL" : "ok", losses, n, mb, mc, 100 * (mc - mb) / mb, iqr,
                 mbh, mch, 100 * (mch - mbh) / mbh, 100 * bound, heavier ? " over the heap bound" : ""
+            print mb, mc
         }')
+    # The last line holds the two medians, for the checker's cost below.
+    read -r base_median change_median <<<"${verdict##*$'\n'}"
+    verdict=${verdict%$'\n'*}
+    if [ "$workload" = paper_fig4 ]; then
+        FIG4_MEDIANS="$base_median $change_median"
+    fi
     echo "    $workload: $verdict"
     if [[ $verdict == FAIL* ]]; then
         failed=1
@@ -169,27 +179,47 @@ if [ "$failed" -ne 0 ]; then
 fi
 
 echo "    overheads (traced paper_fig4): telemetry recording, budget $OVERHEAD_BUDGET_PCT %;" \
-    "invariant checker, budget $CHECKER_BUDGET_PCT %"
-# Makes one traced run and prints, for each budgeted metric of its result
-# line, the metric's name if it is over budget.
-over_budget() {
-    local line budget name max value
-    line=$(result "$CHANGE_BIN" --workload paper_fig4 --seed "$SEED" --trace 1 --seconds 2) ||
-        return 1
-    for budget in "telemetry.recording_overhead_pct $OVERHEAD_BUDGET_PCT" \
-        "core.checker_overhead_pct $CHECKER_BUDGET_PCT"; do
-        read -r name max <<<"$budget"
-        value=$(metric "$line" "$name") || return 1
-        echo "      $name $value" >&2
-        if awk -v pct="$value" -v max="$max" 'BEGIN { exit !(pct + 0 > max + 0) }'; then
-            echo "$name"
-        fi
-    done
+    "invariant checker's cost per BP, budget HEAD's + $CHECKER_BUDGET_PCT %"
+# The result line of one traced paper_fig4 run of benchmark $1.
+traced() {
+    result "$1" --workload paper_fig4 --seed "$SEED" --trace 1 --seconds 2
 }
-over=$(over_budget)
+
+# Makes one traced run of each binary, the base first if $1 is "base",
+# and prints the name of each budget exceeded, one a line.
+over_budget() {
+    local base_line change_line telemetry base_pct change_pct
+    if [ "$1" = base ]; then
+        base_line=$(traced "$BASE_BIN") || return 1
+        change_line=$(traced "$CHANGE_BIN") || return 1
+    else
+        change_line=$(traced "$CHANGE_BIN") || return 1
+        base_line=$(traced "$BASE_BIN") || return 1
+    fi
+    telemetry=$(metric "$change_line" telemetry.recording_overhead_pct) || return 1
+    base_pct=$(metric "$base_line" core.checker_overhead_pct) || return 1
+    change_pct=$(metric "$change_line" core.checker_overhead_pct) || return 1
+    # µs/BP of the checker: its share of a plain run times the binary's
+    # plain µs/BP.
+    awk -v tel="$telemetry" -v tel_max="$OVERHEAD_BUDGET_PCT" -v max="$CHECKER_BUDGET_PCT" \
+        -v base_pct="$base_pct" -v change_pct="$change_pct" -v medians="$FIG4_MEDIANS" 'BEGIN {
+            split(medians, bps, " ")
+            plain_base = 1e6 / bps[1]
+            plain_change = 1e6 / bps[2]
+            base = base_pct / 100 * plain_base
+            change = change_pct / 100 * plain_change
+            printf "      telemetry.recording_overhead_pct %s\n", tel > "/dev/stderr"
+            printf "      invariant checker: base %.2f µs/BP (%s %% of %.2f), change %.2f µs/BP" \
+                " (%s %% of %.2f)\n", base, base_pct, plain_base, change, change_pct,
+                plain_change > "/dev/stderr"
+            if (tel + 0 > tel_max + 0) print "telemetry.recording_overhead_pct"
+            if (change > base * (1 + max / 100)) print "core.checker_overhead_pct"
+        }'
+}
+over=$(over_budget base)
 if [ -n "$over" ]; then
     echo "      over budget: ${over//$'\n'/, }; retrying once"
-    again=$(over_budget)
+    again=$(over_budget change)
     for name in $over; do
         if grep -qx "$name" <<<"$again"; then
             echo "ERROR: $name exceeds its budget twice" >&2

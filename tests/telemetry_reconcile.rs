@@ -101,6 +101,17 @@ fn counters_trace_and_run_result_reconcile() {
     // Simulator-level telemetry is present and sane.
     assert!(snap.gauge("engine.queue.peak_pending").unwrap_or(0) >= 1);
     assert!(snap.counter("engine.rng.chan_draws") > 0);
+    // The counted streams serve one draw per use, however far ahead they
+    // generate: a channel coin per receive attempt, and a timestamp jitter
+    // per transmission and per delivered beacon.
+    assert_eq!(
+        snap.counter("engine.rng.chan_draws"),
+        snap.counter("engine.beacon.rx_attempt")
+    );
+    assert_eq!(
+        snap.counter("engine.rng.jitter_draws"),
+        snap.counter("engine.beacon.tx") + snap.counter("engine.beacon.rx_delivered")
+    );
     let spread = &snap.dists["engine.spread_us"];
     assert_eq!(spread.count(), case.scenario().total_bps());
 
